@@ -161,15 +161,6 @@ class RetransmissionBuffer(Generic[T]):
         self.total_pushed += 1
         return seq
 
-    @property
-    def next_seq(self) -> int:
-        """Sequence number the next :meth:`push` will assign.
-
-        Lets the sender construct the stored copy already carrying its
-        own sequence number instead of pushing and rewriting it.
-        """
-        return self._next_seq
-
     def ack(self, seq: int) -> T:
         """Positive acknowledgement: release and return the stored copy."""
         try:
@@ -177,6 +168,17 @@ class RetransmissionBuffer(Generic[T]):
         except KeyError:
             raise ArqError(f"ACK for unknown sequence {seq}") from None
         self.total_acked += 1
+        return item
+
+    def release(self, seq: int) -> Optional[T]:
+        """:meth:`ack` for a sequence that may not be buffered.
+
+        Returns the released copy, or None — counting nothing — when no
+        entry holds ``seq``; the router ignores such stale ACKs.
+        """
+        item = self._entries.pop(seq, None)
+        if item is not None:
+            self.total_acked += 1
         return item
 
     def nack(self, seq: int) -> T:

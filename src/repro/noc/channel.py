@@ -9,6 +9,14 @@ A :class:`Channel` is the directed link the paper calls "channel i"
   the ARQ protocol, Fig. 1(c));
 * the credit-return wire of the VC flow control.
 
+Both sideband lists are time-ordered: every sender schedules a credit or
+ACK/NACK for the next cycle (``now + 1``), so entries are appended in
+non-decreasing delivery order and, once the last entry is due, so is the
+whole list.  The fast cycle kernel relies on this to take a due sideband
+list whole instead of filtering it.  Data transmissions carry no such
+order (ECC, mode-3 stalls and mode-2 duplicates shift arrival times), so
+:meth:`Channel.pop_arrivals` filters and sorts.
+
 Error injection happens at *delivery* time through the channel's
 :attr:`error_model`, which the fault substrate refreshes every control
 epoch with the current temperature-dependent probabilities
@@ -257,9 +265,9 @@ class Channel:
         #: activity kernel iterates channels sorted by it so the shared
         #: RNG is consumed in the same order as a full scan
         self.index = -1
-        #: Network-owned set of active channel indices (None when the
-        #: channel lives outside a Network, e.g. in unit tests)
-        self._active: Optional[Set[int]] = None
+        #: Network-owned set of active channel indices; a channel outside
+        #: a Network (unit tests) registers in a private set nobody reads
+        self._active: Set[int] = set()
         self._data: List[Transmission] = []
         #: (deliver_cycle, AckMessage) back toward the sender
         self._acks: List[Tuple[int, AckMessage]] = []
@@ -295,20 +303,17 @@ class Channel:
     def send(self, transmission: Transmission) -> None:
         if self.alive:
             self._data.append(transmission)
-            if self._active is not None:
-                self._active.add(self.index)
+            self._active.add(self.index)
 
     def send_ack(self, message: AckMessage, deliver_at: int) -> None:
         if self.alive:
             self._acks.append((deliver_at, message))
-            if self._active is not None:
-                self._active.add(self.index)
+            self._active.add(self.index)
 
     def send_credit(self, vc: int, deliver_at: int) -> None:
         if self.alive:
             self._credits.append((deliver_at, vc))
-            if self._active is not None:
-                self._active.add(self.index)
+            self._active.add(self.index)
 
     # ------------------------------------------------------------------
     def pop_arrivals(self, now: int) -> List[Transmission]:
@@ -323,6 +328,16 @@ class Channel:
                 data.clear()
                 return due
             return []
+        if len(data) == 2:
+            # Two in flight is the norm on protected links (ECC latency,
+            # mode-2 duplicates, mode-3 stalls): settle the usual "older
+            # one due" and "none due" cases without the filter passes.
+            first, second = data
+            if second.arrive_at > now:
+                if first.arrive_at > now:
+                    return []
+                del data[0]
+                return [first]
         due = [t for t in data if t.arrive_at <= now]
         if due:
             # Everything-due is the common case (latency-1 links): skip
@@ -331,7 +346,8 @@ class Channel:
                 data.clear()
             else:
                 self._data = [t for t in data if t.arrive_at > now]
-            due.sort(key=_arrive_key)
+            if len(due) > 1:
+                due.sort(key=_arrive_key)
         return due
 
     def pop_acks(self, now: int) -> List[AckMessage]:

@@ -200,15 +200,12 @@ class Network:
 
         #: channels keyed by (source router, source port)
         self.channels: Dict[Tuple[int, int], Channel] = {}
-        #: per-channel delivery tuples in creation-index order, split by
-        #: kernel phase so each phase unpacks exactly what it touches:
-        #: sideband = (channel, src router, src port int), data =
-        #: (channel, dst router, dst port int).  The fast kernel iterates
-        #: active indices *sorted*, which equals the naive kernel's
-        #: dict-insertion-order scan — that keeps the shared error RNG
-        #: consumed in an identical order.
-        self._meta_sideband: List[Tuple[Channel, Router, int]] = []
-        self._meta_data: List[Tuple[Channel, Router, int]] = []
+        #: per-channel delivery tuples in creation-index order: (channel,
+        #: src router, src port int, dst router, dst port int).  The fast
+        #: kernel iterates active indices *sorted*, which equals the naive
+        #: kernel's dict-insertion-order scan — that keeps the shared
+        #: error RNG consumed in an identical order.
+        self._channel_meta: List[Tuple[Channel, Router, int, Router, int]] = []
         for index, spec in enumerate(topology.channels()):
             model = ChannelErrorModel(
                 self.rng, flit_bits, 0.0, error_severity, relax_factor
@@ -216,11 +213,14 @@ class Network:
             channel = Channel(spec, channel_latency, model)
             channel.bind_activity(index, self.activity.channels)
             self.channels[(spec.src, spec.src_port)] = channel
-            self._meta_sideband.append(
-                (channel, self.routers[spec.src], int(spec.src_port))
-            )
-            self._meta_data.append(
-                (channel, self.routers[spec.dst], int(spec.dst_port))
+            self._channel_meta.append(
+                (
+                    channel,
+                    self.routers[spec.src],
+                    int(spec.src_port),
+                    self.routers[spec.dst],
+                    int(spec.dst_port),
+                )
             )
             self.routers[spec.src].outputs[int(spec.src_port)] = OutputLink(
                 spec.src_port, channel, num_vcs, vc_depth, arq_capacity
@@ -231,7 +231,7 @@ class Network:
         #: precomputed sorted index lists — the fast kernel substitutes
         #: these for ``sorted(active_set)`` when every entity is active
         #: (the saturation steady state), skipping the per-cycle sort
-        self._all_channels = list(range(len(self._meta_data)))
+        self._all_channels = list(range(len(self._channel_meta)))
         self._all_nodes = list(range(topology.num_nodes))
 
         crc = crc if crc is not None else CRC.crc16()
@@ -361,36 +361,56 @@ class Network:
         here as direct slot reads — at saturation the descriptor-call
         overhead of the property forms is a measurable slice of the
         cycle.  Each inline must mirror its property exactly.
+
+        Channels get one delivery pass (sideband, then data, per channel)
+        where the naive kernel makes two (all sideband, then all data).
+        The reordering is invisible: sideband delivery touches only the
+        sender's output link and epoch counters, data delivery only the
+        receiver's input VCs, epoch counters and the channel's own
+        sideband (due next cycle), and the shared error RNG is still
+        drawn in channel-index order.  Sideband lists are time-ordered
+        (see :mod:`repro.noc.channel`), so a list whose last entry is due
+        is delivered whole.
         """
         act = self.activity
 
         if act.channels:
-            # Phase 1 never enqueues sideband/data, so one snapshot
-            # safely serves both channel phases.
+            # Delivery never enqueues data and only enqueues sideband on
+            # the channel being delivered, so one snapshot serves the pass.
             if len(act.channels) == len(self._all_channels):
                 snapshot = self._all_channels
             else:
                 snapshot = sorted(act.channels)
             act.channel_visits += len(snapshot)
-            sideband = self._meta_sideband
-            for index in snapshot:
-                channel, sender, src_port = sideband[index]
-                if channel._credits or channel._acks:
-                    for vc in channel.pop_credits(now):
-                        sender.receive_credit(src_port, vc)
-                    for message in channel.pop_acks(now):
-                        sender.receive_ack(src_port, message)
-
             active_channels = act.channels
-            data = self._meta_data
+            meta = self._channel_meta
             for index in snapshot:
-                channel, receiver, dst_port = data[index]
-                if channel._data:
-                    arrivals = channel.pop_arrivals(now)
-                    if arrivals:
-                        # May push sideband back onto this same channel
-                        # (ACK/NACK/credit) — re-read below (`busy`).
-                        receiver.receive_transmissions(dst_port, arrivals, now)
+                channel, sender, src_port, receiver, dst_port = meta[index]
+                credits = channel._credits
+                acks = channel._acks
+                if credits or acks:
+                    if (not credits or credits[-1][0] <= now) and (
+                        not acks or acks[-1][0] <= now
+                    ):
+                        channel._credits = []
+                        channel._acks = []
+                        sender.receive_sideband(src_port, credits, acks)
+                    else:
+                        for vc in channel.pop_credits(now):
+                            sender.receive_credit(src_port, vc)
+                        for message in channel.pop_acks(now):
+                            sender.receive_ack(src_port, message)
+                data = channel._data
+                if data:
+                    # May push sideband back onto this same channel
+                    # (ACK/NACK/credit) — re-read below (`busy`).
+                    if len(data) > 1:
+                        arrivals = channel.pop_arrivals(now)
+                        if arrivals:
+                            receiver.receive_transmissions(dst_port, arrivals, now)
+                    elif data[0].arrive_at <= now:
+                        channel._data = []
+                        receiver.receive_transmissions(dst_port, data, now)
                 if not (channel._data or channel._acks or channel._credits):
                     active_channels.discard(index)
 

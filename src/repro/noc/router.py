@@ -33,7 +33,7 @@ routers nearly free.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.coding.arq import AckKind, AckMessage, RetransmissionBuffer
 from repro.core.modes import MODE_BEHAVIOUR, ModeBehaviour, OperationMode
@@ -53,12 +53,28 @@ ECC_PIPELINE_CYCLES = 1
 
 _NUM_PORTS = len(Port)
 _LOCAL = int(Port.LOCAL)
+_ACK = AckKind.ACK
+_NACK = AckKind.NACK
 #: rotating output-port scan orders for SA, indexed by ``now % N`` —
 #: precomputed so the hot loop does no per-step modular arithmetic
 _PORT_ORDERS = tuple(
     tuple((start + k) % _NUM_PORTS for k in range(_NUM_PORTS))
     for start in range(_NUM_PORTS)
 )
+
+
+def _mode_datapath(behaviour: ModeBehaviour) -> Tuple[bool, bool, bool, int, int]:
+    """What switch traversal needs of a mode, unpacked once per flit:
+    (ECC on, mode-2 duplicate follows, relaxed timing, cycles from send
+    to arrival beyond the channel latency, link cycles per flit)."""
+    ecc = behaviour.ecc_enabled
+    return (
+        ecc,
+        behaviour.pre_retransmit and ecc,
+        behaviour.timing_relaxed,
+        behaviour.extra_cycles_before_send + (ECC_PIPELINE_CYCLES if ecc else 0),
+        behaviour.link_slots_per_flit,
+    )
 
 
 class OutputLink:
@@ -136,6 +152,8 @@ class Router:
 
         self.mode = OperationMode.MODE_0
         self.behaviour: ModeBehaviour = MODE_BEHAVIOUR[self.mode]
+        #: :func:`_mode_datapath` of :attr:`behaviour`, refreshed with the mode
+        self._datapath = _mode_datapath(self.behaviour)
         self._pending_mode: Optional[OperationMode] = None
 
         self._va_arbiters = [RoundRobinArbiter(_NUM_PORTS * num_vcs) for _ in range(_NUM_PORTS)]
@@ -230,6 +248,7 @@ class Router:
                 )
         self.mode = mode
         self.behaviour = MODE_BEHAVIOUR[mode]
+        self._datapath = _mode_datapath(self.behaviour)
         self._pending_mode = None
 
     def _arq_quiescent(self) -> bool:
@@ -265,8 +284,8 @@ class Router:
                 # This ACK may be the one that drains the window and
                 # unblocks the deferred mode switch in step().
                 self._wake()
-            if link.arq.peek(message.seq) is not None:
-                item = link.arq.ack(message.seq)
+            item = link.arq.release(message.seq)
+            if item is not None:
                 self.epoch.arq_buffer_ops += 1
                 # The ACK may complete a draining packet's in-flight set.
                 self._maybe_release_output_vc(link, item.vc)
@@ -275,6 +294,49 @@ class Router:
                 # resent it — cancel the now-pointless retransmission.
                 link.pending_retx = deque(s for s in link.pending_retx if s != message.seq)
 
+    def receive_sideband(
+        self,
+        port: int,
+        credits: List[Tuple[int, int]],
+        acks: List[Tuple[int, AckMessage]],
+    ) -> None:
+        """Apply one channel's due sideband: its credits, then its ACK/NACKs.
+
+        The fast kernel's whole-list form of :meth:`receive_credit` and
+        :meth:`receive_ack`, taking the channel's ``(deliver_at, payload)``
+        entries as they are.  Plain credits and ACKs update the output
+        link in place, and the draining-VC release check runs only when it
+        can succeed (a draining VC with every credit home).  A credit
+        overflow, a NACK, an ACK that may unblock a deferred mode switch
+        and an ACK racing a go-back-N rewind go through those methods.
+        """
+        link = self.outputs[port]
+        depth = self.vc_depth
+        link_credits = link.credits
+        draining = link.vc_draining
+        for _at, vc in credits:
+            count = link_credits[vc] + 1
+            if count > depth:
+                self.receive_credit(port, vc)  # raises the overflow error
+            link_credits[vc] = count
+            if count == depth and draining[vc]:
+                self._maybe_release_output_vc(link, vc)
+        if not acks:
+            return
+        epoch = self.epoch
+        arq = link.arq
+        for _at, message in acks:
+            if message.kind != _ACK or self._pending_mode is not None or link.pending_retx:
+                self.receive_ack(port, message)
+                continue
+            epoch.acks_in[port] += 1
+            item = arq.release(message.seq)
+            if item is not None:
+                epoch.arq_buffer_ops += 1
+                vc = item.vc
+                if draining[vc] and link_credits[vc] == depth:
+                    self._maybe_release_output_vc(link, vc)
+
     # ------------------------------------------------------------------
     # Data delivery (called by the Network for each arriving transmission)
     # ------------------------------------------------------------------
@@ -282,80 +344,94 @@ class Router:
         channel = self.in_channels[port]
         epoch = self.epoch
         error_model = channel.error_model
-        flits_in = epoch.flits_in
+        vcs = self.inputs[port].vcs
+        expected_seq = self.expected_seq
+        epoch.flits_in[port] += len(arrivals)
         for t in arrivals:
-            flits_in[port] += 1
-            errors = error_model.sample_error_bits(t.relaxed)
-            if not t.protected:
-                if errors:
+            # The clean-transfer countdown of sample_error_bits, inlined:
+            # a positive gap counts down and the never-fires sentinel
+            # stays; an undrawn (None) or expired (0) gap is sampled.
+            if t.relaxed:
+                gap = error_model._gap_relaxed
+                if gap:
+                    if gap > 0:
+                        error_model._gap_relaxed = gap - 1
+                    errors = 0
+                else:
+                    errors = error_model.sample_error_bits(True)
+            else:
+                gap = error_model._gap
+                if gap:
+                    if gap > 0:
+                        error_model._gap = gap - 1
+                    errors = 0
+                else:
+                    errors = error_model.sample_error_bits(False)
+
+            if t.protected:
+                # Protected arrival: the -Link decoder runs on every transfer.
+                epoch.ecc_decodes += 1
+                seq = t.seq
+                if seq != expected_seq[port]:
+                    # Out-of-order under go-back-N (already-accepted
+                    # duplicate or a rewound resend of an accepted flit):
+                    # drop silently.  Duplicates never carried a credit,
+                    # so only refund for credit-bearing transmissions.
+                    if not t.duplicate:
+                        channel.send_credit(t.vc, now + 1)
+                    epoch.dropped_flits += 1
+                    continue
+                if errors == 2:
+                    # Detected, uncorrectable: drop and NACK.  The credit
+                    # is refunded by exactly one member of a mode-2 pair:
+                    # a paired original defers to its duplicate (which may
+                    # yet deliver into the reserved slot); a corrupted
+                    # duplicate at the expected sequence means both copies
+                    # died, so the credit comes back here.
+                    channel.send_ack(AckMessage(seq, _NACK, now), now + 1)
+                    if not t.paired:
+                        channel.send_credit(t.vc, now + 1)
+                    epoch.nacks_out[port] += 1
+                    epoch.dropped_flits += 1
+                    continue
+                if errors == 1:
+                    epoch.corrected_errors += 1
+                elif errors:
+                    # Beyond SECDED: mis-correction corrupts the payload
+                    # and escapes to the destination CRC.
                     t.flit.error_mask ^= error_model.sample_mask(errors)
                     epoch.escaped_errors += 1
-                self._accept(port, t, now)
-                continue
-
-            # Protected arrival: the -Link decoder runs on every transfer.
-            epoch.ecc_decodes += 1
-            expected = self.expected_seq[port]
-            if t.seq != expected:
-                # Out-of-order under go-back-N (already-accepted duplicate
-                # or a rewound resend of an accepted flit): drop silently.
-                # Duplicates never carried a credit, so only refund for
-                # credit-bearing transmissions.
-                if not t.duplicate:
-                    channel.send_credit(t.vc, now + 1)
-                epoch.dropped_flits += 1
-                continue
-            if errors == 0:
-                self._ack(channel, port, t, now)
-                self._accept(port, t, now)
-                self.expected_seq[port] = expected + 1
-            elif errors == 1:
-                epoch.corrected_errors += 1
-                self._ack(channel, port, t, now)
-                self._accept(port, t, now)
-                self.expected_seq[port] = expected + 1
-            elif errors == 2:
-                # Detected, uncorrectable: drop and NACK.  The credit is
-                # refunded by exactly one member of a mode-2 pair: a
-                # paired original defers to its duplicate (which may yet
-                # deliver into the reserved slot); a corrupted duplicate
-                # at the expected sequence means both copies died, so the
-                # credit comes back here.
-                channel.send_ack(AckMessage(t.seq, AckKind.NACK, now), now + 1)
-                if not t.paired:
-                    channel.send_credit(t.vc, now + 1)
-                epoch.nacks_out[port] += 1
-                epoch.dropped_flits += 1
-            else:
-                # Beyond SECDED: mis-correction corrupts the payload and
-                # escapes to the destination CRC.
+                if channel.alive:  # Channel.send_ack, inlined
+                    channel._acks.append((now + 1, AckMessage(seq, _ACK, now)))
+                    channel._active.add(channel.index)
+                epoch.acks_out[port] += 1
+                expected_seq[port] = seq + 1
+            elif errors:
                 t.flit.error_mask ^= error_model.sample_mask(errors)
                 epoch.escaped_errors += 1
-                self._ack(channel, port, t, now)
-                self._accept(port, t, now)
-                self.expected_seq[port] = expected + 1
 
-    def _ack(self, channel: Channel, port: int, t: Transmission, now: int) -> None:
-        channel.send_ack(AckMessage(t.seq, AckKind.ACK, now), now + 1)
-        self.epoch.acks_out[port] += 1
-
-    def _accept(self, port: int, t: Transmission, now: int) -> None:
-        flit = t.flit
-        flit.hops += 1
-        vc = self.inputs[port].vcs[t.vc]
-        vc.push(flit)
-        self.epoch.buffer_writes += 1
-        if flit.is_head:
-            if vc.state is not VCState.IDLE:
-                raise RuntimeError(
-                    f"router {self.id}: head flit arrived at busy VC "
-                    f"{vc.port.name}.{vc.vc_id}"
-                )
-            vc.state = VCState.ROUTING
-            vc.current_packet = flit.packet
-            vc.stage_ready_cycle = now + 1
-            self._routing[vc] = None
-            self._wake()
+            # Accept: buffer write (VirtualChannel.push, inlined) and, for
+            # a head flit, hand-off to route computation.
+            flit = t.flit
+            flit.hops += 1
+            vc = vcs[t.vc]
+            fifo = vc.fifo
+            if len(fifo) >= vc.depth:
+                vc.push(flit)  # raises the overflow error
+            flit.vc = vc.vc_id
+            fifo.append(flit)
+            epoch.buffer_writes += 1
+            if flit.is_head:
+                if vc.state is not VCState.IDLE:
+                    raise RuntimeError(
+                        f"router {self.id}: head flit arrived at busy VC "
+                        f"{vc.port.name}.{vc.vc_id}"
+                    )
+                vc.state = VCState.ROUTING
+                vc.current_packet = flit.packet
+                vc.stage_ready_cycle = now + 1
+                self._routing[vc] = None
+                self._wake()
 
     # ------------------------------------------------------------------
     # Injection from the local network interface
@@ -456,41 +532,51 @@ class Router:
     def _stage_switch_allocation(self, now: int, used_output: Optional[List[bool]]) -> None:
         outputs = self.outputs
         ecc = self.behaviour.ecc_enabled
-        by_port: Dict[int, List[VirtualChannel]] = {}
+        # The usual single requester needs no per-port map: ``first``
+        # holds it until a second one shows up.
+        first: Optional[VirtualChannel] = None
+        by_port: Optional[Dict[int, List[VirtualChannel]]] = None
         for vc in self._active:
-            if vc.fifo and vc.stage_ready_cycle <= now:
-                out_port = vc.out_port
-                if used_output is not None and used_output[out_port]:
+            if not vc.fifo or vc.stage_ready_cycle > now:
+                continue
+            out_port = vc.out_port
+            if out_port != _LOCAL:
+                # A link still busy with an earlier flit, no downstream
+                # credit, or a full ARQ window keeps the VC out of this
+                # cycle's arbitration (hottest loop in the router).
+                link = outputs[out_port]
+                if link.free_at > now or link.credits[vc.out_vc] <= 0:
                     continue
-                # Inlined _sa_resources_free (hottest loop in the router).
-                if out_port != _LOCAL:
-                    link = outputs[out_port]
-                    if link.credits[vc.out_vc] <= 0:
-                        continue
-                    if ecc and link.arq.is_full:
-                        continue
-                candidates = by_port.get(out_port)
-                if candidates is None:
-                    by_port[out_port] = [vc]
-                else:
-                    candidates.append(vc)
-        if not by_port:
+                if ecc and link.arq.is_full:
+                    continue
+            if used_output is not None and used_output[out_port]:
+                continue
+            if first is None:
+                first = vc
+                continue
+            if by_port is None:
+                by_port = {first.out_port: [first]}
+            candidates = by_port.get(out_port)
+            if candidates is None:
+                by_port[out_port] = [vc]
+            else:
+                candidates.append(vc)
+        if first is None:
+            return
+        epoch = self.epoch
+        if by_port is None:
+            out_port = first.out_port
+            epoch.arbitration_ops += 1
+            self._sa_arbiters[out_port].take(first.line)
+            self._traverse(first, out_port, now)
             return
         arbiters = self._sa_arbiters
-        epoch = self.epoch
         if len(by_port) == 1:
-            # Common case: every ready VC wants the same output port.
-            # One grant happens, so the input-port exclusion mask and the
-            # rotating output-port order cannot change the outcome.
+            # Every ready VC wants the same output port.  One grant
+            # happens, so the input-port exclusion mask and the rotating
+            # output-port order cannot change the outcome.
             out_port, candidates = by_port.popitem()
-            if out_port != _LOCAL and outputs[out_port].free_at > now:
-                return
             epoch.arbitration_ops += 1
-            if len(candidates) == 1:
-                vc = candidates[0]
-                arbiters[out_port].take(vc.line)
-                self._traverse(vc, out_port, now)
-                return
             line = arbiters[out_port].grant_from([vc.line for vc in candidates])
             for vc in candidates:
                 if vc.line == line:
@@ -501,8 +587,6 @@ class Router:
         for out_port in _PORT_ORDERS[now % _NUM_PORTS]:
             candidates = by_port.get(out_port)
             if not candidates:
-                continue
-            if out_port != _LOCAL and outputs[out_port].free_at > now:
                 continue
             if len(candidates) == 1:
                 vc = candidates[0]
@@ -526,100 +610,62 @@ class Router:
                     self._traverse(vc, out_port, now)
                     break
 
-    def _sa_resources_free(self, out_port: int, vc: VirtualChannel) -> bool:
-        if out_port == _LOCAL:
-            return True
-        link = self.outputs[out_port]
-        if link.credits[vc.out_vc] <= 0:
-            return False
-        if self.behaviour.ecc_enabled and link.arq.is_full:
-            return False
-        return True
-
     def _traverse(self, vc: VirtualChannel, out_port: int, now: int) -> None:
-        flit = vc.pop()
+        flit = vc.fifo.popleft()  # SA grants only VCs holding a flit
         vc.sent += 1
         epoch = self.epoch
         epoch.buffer_reads += 1
         epoch.crossbar_traversals += 1
         epoch.flits_out[out_port] += 1
-        if vc.port_index != _LOCAL:
+        in_port = vc.port_index
+        if in_port != _LOCAL:
             # The flit freed one slot of this input VC: return the credit
-            # to the upstream sender over the channel's sideband wire.
-            self.in_channels[vc.port_index].send_credit(vc.vc_id, now + 1)
+            # to the upstream sender over the channel's sideband wire
+            # (Channel.send_credit, inlined).
+            channel = self.in_channels[in_port]
+            if channel.alive:
+                channel._credits.append((now + 1, vc.vc_id))
+                channel._active.add(channel.index)
 
+        out_vc = vc.out_vc
         if out_port == _LOCAL:
             if self.ejection_sink is None:
                 raise RuntimeError(f"router {self.id} has no ejection sink")
             self.ejection_sink(flit, now + 1)
+            if flit.is_tail:
+                self._local_vc_allocated[out_vc] = False
         else:
             link = self.outputs[out_port]
-            behaviour = self.behaviour
-            protected = behaviour.ecc_enabled
-            out_vc = vc.out_vc
+            protected, duplicated, relaxed, delay, slots = self._datapath
             link.credits[out_vc] -= 1
-            arrive = (
-                now
-                + link.channel.latency
-                + behaviour.extra_cycles_before_send
-                + (ECC_PIPELINE_CYCLES if protected else 0)
-            )
-            duplicated = behaviour.pre_retransmit and protected
+            channel = link.channel
+            arrive = now + channel.latency + delay
             if protected:
                 # The ARQ window stores the sent transmission itself (its
                 # consumers read only .flit and .vc), so the rewind logic
                 # can resend it without a second allocation per flit.
-                sent = Transmission(
-                    flit,
-                    link.arq.next_seq,
-                    out_vc,
-                    True,
-                    behaviour.timing_relaxed,
-                    False,
-                    arrive,
-                    paired=duplicated,
-                )
-                seq = link.arq.push(sent)
+                sent = Transmission(flit, None, out_vc, True, relaxed, False, arrive, duplicated)
+                sent.seq = seq = link.arq.push(sent)
                 epoch.arq_buffer_ops += 1
                 epoch.ecc_encodes += 1
             else:
                 seq = None
-                sent = Transmission(
-                    flit,
-                    None,
-                    out_vc,
-                    False,
-                    behaviour.timing_relaxed,
-                    False,
-                    arrive,
-                    paired=duplicated,
-                )
-            link.channel.send(sent)
-            link.free_at = now + behaviour.link_slots_per_flit
+                sent = Transmission(flit, None, out_vc, False, relaxed, False, arrive, False)
+            channel.send(sent)
+            link.free_at = now + slots
             if duplicated:
                 # Mode 2: speculative duplicate one cycle behind.
-                link.channel.send(
-                    Transmission(
-                        flit,
-                        seq,
-                        out_vc,
-                        True,
-                        behaviour.timing_relaxed,
-                        True,
-                        arrive + 1,
-                    )
+                channel.send(
+                    Transmission(flit, seq, out_vc, True, relaxed, True, arrive + 1)
                 )
                 epoch.duplicate_flits += 1
                 epoch.ecc_encodes += 1
+            if flit.is_tail:
+                link.vc_draining[out_vc] = True
+                if link.credits[out_vc] == self.vc_depth:
+                    self._maybe_release_output_vc(link, out_vc)
 
         if flit.is_tail:
-            out_vc = vc.out_vc
-            if out_port == _LOCAL:
-                self._local_vc_allocated[out_vc] = False
-            else:
-                link = self.outputs[out_port]
-                link.vc_draining[out_vc] = True
-                self._maybe_release_output_vc(link, out_vc)
             vc.release()
             del self._active[vc]
         # Body flits remain eligible next cycle; no stage_ready bump needed.

@@ -96,7 +96,11 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: non-finite guard backref — version-3 bodies would restore into
 #: objects missing those attributes and die at the first epoch boundary
 #: or scrub pass.
-CHECKPOINT_VERSION = 4
+#: Version 5: the fast kernel's per-flit datapath was reshaped — the
+#: network keeps one fused per-channel delivery table and each router
+#: caches its mode's datapath tuple — so version-4 bodies would restore
+#: into a network and routers missing those attributes.
+CHECKPOINT_VERSION = 5
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``

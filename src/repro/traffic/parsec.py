@@ -148,52 +148,63 @@ class ParsecTraceSynthesizer:
         self._bursting = [False] * topology.num_nodes
 
     # ------------------------------------------------------------------
-    def _pick_destination(self, src: int) -> int:
-        w_uniform, w_neighbour, _w_hotspot = self.profile.locality
-        roll = self.rng.random()
+    def synthesize(self, cycles: int) -> List[TraceRecord]:
+        """Generate a full trace spanning ``cycles`` injection cycles.
+
+        Per node and cycle: one draw advances the on/off burst state, one
+        decides injection, and an injecting node draws its destination
+        from the locality mixture (uniform, a mesh neighbour, or a
+        hotspot other than itself, falling back to uniform).  Everything
+        loop-invariant is hoisted, but the draws are made in exactly this
+        order, so a seed always yields the same trace.
+        """
+        if cycles <= 0:
+            raise ValueError("trace must span at least one cycle")
+        p = self.profile
         topo = self.topology
-        if roll < w_uniform:
-            dest = self.rng.randrange(topo.num_nodes - 1)
-            return dest if dest < src else dest + 1
-        if roll < w_uniform + w_neighbour:
-            x, y = topo.coordinates(src)
+        num_nodes = topo.num_nodes
+        w_uniform, w_neighbour, _w_hotspot = p.locality
+        w_near = w_uniform + w_neighbour
+        p_on = p.burst_on_probability
+        p_off = p.burst_off_probability
+        base_rate = min(1.0, p.injection_rate)
+        burst_rate = min(1.0, p.injection_rate * p.burst_factor)
+        size = p.packet_size
+        neighbours = []
+        for node in range(num_nodes):
+            x, y = topo.coordinates(node)
             options = []
             for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 nx, ny = x + dx, y + dy
                 if 0 <= nx < topo.width and 0 <= ny < topo.height:
                     options.append(topo.node_id(nx, ny))
-            return self.rng.choice(options)
-        candidates = [h for h in self.hotspot_nodes if h != src]
-        if not candidates:
-            dest = self.rng.randrange(topo.num_nodes - 1)
-            return dest if dest < src else dest + 1
-        return self.rng.choice(candidates)
-
-    def _advance_burst_state(self, node: int) -> float:
-        p = self.profile
-        if self._bursting[node]:
-            if self.rng.random() < p.burst_off_probability:
-                self._bursting[node] = False
-        else:
-            if self.rng.random() < p.burst_on_probability:
-                self._bursting[node] = True
-        rate = p.injection_rate
-        if self._bursting[node]:
-            rate *= p.burst_factor
-        return min(1.0, rate)
-
-    # ------------------------------------------------------------------
-    def synthesize(self, cycles: int) -> List[TraceRecord]:
-        """Generate a full trace spanning ``cycles`` injection cycles."""
-        if cycles <= 0:
-            raise ValueError("trace must span at least one cycle")
+            neighbours.append(options)
+        hotspots = [[h for h in self.hotspot_nodes if h != node] for node in range(num_nodes)]
+        bursting = self._bursting
+        rng = self.rng
+        random_ = rng.random
+        randrange = rng.randrange
+        choice = rng.choice
+        nodes = range(num_nodes)
         records = []
+        append = records.append
         for cycle in range(cycles):
-            for node in range(self.topology.num_nodes):
-                rate = self._advance_burst_state(node)
-                if self.rng.random() < rate:
-                    dest = self._pick_destination(node)
-                    records.append(
-                        TraceRecord(cycle, node, dest, self.profile.packet_size)
-                    )
+            for node in nodes:
+                if bursting[node]:
+                    if random_() < p_off:
+                        bursting[node] = False
+                elif random_() < p_on:
+                    bursting[node] = True
+                if random_() >= (burst_rate if bursting[node] else base_rate):
+                    continue
+                roll = random_()
+                if w_uniform <= roll < w_near:
+                    dest = choice(neighbours[node])
+                elif roll >= w_near and hotspots[node]:
+                    dest = choice(hotspots[node])
+                else:  # uniform over the other nodes
+                    dest = randrange(num_nodes - 1)
+                    if dest >= node:
+                        dest += 1
+                append(TraceRecord(cycle, node, dest, size))
         return records

@@ -58,6 +58,14 @@ class TestAckNack:
         assert buf.ack(seq) == "flit"
         assert buf.is_empty
 
+    def test_release_tolerates_a_stale_sequence(self):
+        buf = RetransmissionBuffer(4)
+        seq = buf.push("flit")
+        assert buf.release(seq) == "flit"
+        assert buf.is_empty and buf.total_acked == 1
+        assert buf.release(seq) is None  # already released: counts nothing
+        assert buf.total_acked == 1
+
     def test_unknown_seq_raises(self):
         buf = RetransmissionBuffer(4)
         with pytest.raises(ArqError):

@@ -1,6 +1,8 @@
 """Tests for the PARSEC-like trace synthesizer."""
 
+import hashlib
 import random
+import zlib
 
 import pytest
 
@@ -110,3 +112,44 @@ class TestSynthesizer:
         synth = ParsecTraceSynthesizer(PARSEC_PROFILES["ferret"], topo, random.Random(0))
         centre = {topo.node_id(3, 3), topo.node_id(4, 3), topo.node_id(3, 4), topo.node_id(4, 4)}
         assert set(synth.hotspot_nodes) == centre
+
+
+def _stream_digest(name):
+    """sha256 prefix of two synthesized traces plus the RNG and burst state.
+
+    The second synthesizer pins a single hotspot on the 3x3 centre tile,
+    so the centre's hotspot draw falls back to a uniform destination.
+    """
+    h = hashlib.sha256()
+    profile = PARSEC_PROFILES[name]
+    runs = ((MeshTopology(8, 8), None, 300), (MeshTopology(3, 3), [4], 600))
+    for topo, hotspots, cycles in runs:
+        rng = random.Random(zlib.crc32(name.encode()))
+        synth = ParsecTraceSynthesizer(profile, topo, rng, hotspot_nodes=hotspots)
+        for r in synth.synthesize(cycles):
+            h.update(f"{r.cycle},{r.src},{r.dest},{r.size};".encode())
+        h.update(repr(rng.getstate()).encode())
+        h.update(repr(synth._bursting).encode())
+    return h.hexdigest()[:16]
+
+
+#: pinned streams: every benchmark trace and its seeded RNG follow from
+#: them, so a rewrite of the synthesizer must leave records, RNG draws and
+#: burst state exactly as they are
+GOLDEN_STREAMS = {
+    "blackscholes": "0c10a503f0090a34",
+    "bodytrack": "62a4b866e9f8b348",
+    "canneal": "2d4adc4f7bd59030",
+    "dedup": "4a93dd357ad8c946",
+    "ferret": "2475b36f5ba5eee8",
+    "fluidanimate": "b618bd5c2b6fa00e",
+    "streamcluster": "54ef239406a80c7b",
+    "swaptions": "a14dc3a87d67c91e",
+    "vips": "e8711066b30686c5",
+    "x264": "847c96cfa4334320",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSEC_PROFILES))
+def test_synthesized_stream_is_pinned(name):
+    assert _stream_digest(name) == GOLDEN_STREAMS[name]
