@@ -19,10 +19,15 @@ removes:
   adaptation stays cell-local and per-cell results are bit-identical
   across benchmark orderings and ``--jobs`` settings.
 
-Cells execute through the :class:`~repro.sim.sweep.SweepRunner`
-supervision machinery (timeouts, retries, quarantine, incremental cache
-flushing), so a campaign is resumable: killed mid-flight, a rerun
-replays finished cells from the result cache and reuses the artifacts.
+A campaign is one supervised :class:`~repro.sim.sweep.SweepRunner`
+pass (timeouts, retries, quarantine, incremental cache flushing).  Each
+missing or stale artifact is a :class:`~repro.sim.sweep.Prerequisite`
+task of that pass: builds launch first, a trainable design's cells wait
+for its build, and stateless cells fill the free workers meanwhile.  A
+build that keeps failing quarantines its design's cells instead of
+aborting the grid.  The campaign is resumable: killed mid-flight, a
+rerun replays finished cells from the result cache and reuses the
+artifacts.
 ``repro.sim.report`` turns the merged grid into the normalized Figs
 6-10 tables; the ``repro campaign`` CLI command wires it all together.
 """
@@ -54,6 +59,7 @@ from repro.sim.metrics import RunResult
 from repro.sim.sweep import (
     DEFAULT_CACHE_DIR,
     PointResult,
+    Prerequisite,
     SweepPoint,
     SweepProgress,
     SweepReport,
@@ -69,7 +75,7 @@ __all__ = [
     "artifact_key",
     "artifact_file",
     "ensure_artifact",
-    "build_artifacts",
+    "plan_artifacts",
     "run_campaign",
     "merge_campaign",
 ]
@@ -110,6 +116,16 @@ def artifact_file(
     return Path(artifact_dir) / f"{design}-s{seed}-{key}.ckpt"
 
 
+def _artifact_is_current(path: Path, key: str) -> bool:
+    """True when ``path`` holds a valid artifact container (magic,
+    version, body CRC) whose stored content key is ``key``."""
+    try:
+        meta = read_policy_artifact_meta(path)
+    except CheckpointError:
+        return False  # missing, torn, or foreign-version artifact
+    return meta.get("key") == key
+
+
 def ensure_artifact(
     config: SimulationConfig,
     design: str,
@@ -128,20 +144,10 @@ def ensure_artifact(
     """
     key = artifact_key(config, design, seed)
     path = artifact_file(artifact_dir, design, seed, key)
-    if not refresh:
-        try:
-            meta = read_policy_artifact_meta(path)
-        except CheckpointError:
-            pass  # missing, torn, or foreign-version artifact: rebuild
-        else:
-            if meta.get("key") == key:
-                logger.info("reusing pretrained artifact %s", path)
-                if tracer is not None:
-                    tracer.emit(
-                        0, "campaign", "artifact_reuse",
-                        design=design, seed=seed, key=key,
-                    )
-                return path, key, False
+    if not refresh and _artifact_is_current(path, key):
+        logger.info("reusing pretrained artifact %s", path)
+        _emit_artifact(tracer, "artifact_reuse", design, seed, key)
+        return path, key, False
     policy = default_design_factories(seed)[design]()
     started = time.perf_counter()
     pretrain_policy(policy, config, seed=seed)
@@ -162,11 +168,25 @@ def ensure_artifact(
     logger.info(
         "pretrained %s (seed %d) in %.1fs -> %s", design, seed, elapsed, path
     )
-    if tracer is not None:
-        tracer.emit(
-            0, "campaign", "artifact_build", design=design, seed=seed, key=key,
-        )
+    _emit_artifact(tracer, "artifact_build", design, seed, key)
     return path, key, True
+
+
+def _emit_artifact(tracer, kind: str, design: str, seed: int, key: str) -> None:
+    if tracer is not None:
+        tracer.emit(0, "campaign", kind, design=design, seed=seed, key=key)
+
+
+def _build_artifact(
+    config: SimulationConfig, design: str, seed: int, artifact_dir: Union[str, Path]
+) -> Dict[str, str]:
+    """Body of an artifact task (a sweep worker, or in process for
+    ``jobs=1``): pretrain and save, unconditionally — the parent has
+    already found the artifact missing or stale."""
+    path, key, _built = ensure_artifact(
+        config, design, seed, artifact_dir, refresh=True
+    )
+    return {"path": str(path), "key": key}
 
 
 # ----------------------------------------------------------------------
@@ -219,38 +239,40 @@ class CampaignGrid:
         return list(self.points)
 
 
-def build_artifacts(
+def plan_artifacts(
     spec: CampaignSpec,
     artifact_dir: Union[str, Path] = DEFAULT_ARTIFACT_DIR,
     refresh: bool = False,
-    tracer=None,
 ) -> Dict[str, Tuple[Path, str, bool]]:
-    """Phase 1: one pretrained artifact per *trainable* design.
+    """``{design: (path, key, build)}`` for each *trainable* design, where
+    ``build`` says the artifact is missing or stale (or ``refresh`` asks
+    for a rebuild).  Nothing is built here: :func:`run_campaign` hands
+    every build to its runner as an artifact task.
 
     Stateless designs (crc, arq_ecc) have nothing to pre-train and get
     no artifact; their cells run directly from a fresh policy.
     """
-    artifacts: Dict[str, Tuple[Path, str, bool]] = {}
+    plan: Dict[str, Tuple[Path, str, bool]] = {}
     factories = default_design_factories(spec.seed)
     for design in spec.designs:
         if not factories[design]().trainable:
             continue
-        artifacts[design] = ensure_artifact(
-            spec.config, design, spec.seed, artifact_dir,
-            refresh=refresh, tracer=tracer,
-        )
-    return artifacts
+        key = artifact_key(spec.config, design, spec.seed)
+        path = artifact_file(artifact_dir, design, spec.seed, key)
+        plan[design] = (path, key, refresh or not _artifact_is_current(path, key))
+    return plan
 
 
 def campaign_points(
     spec: CampaignSpec, artifacts: Dict[str, Tuple[Path, str, bool]]
 ) -> Tuple[SweepPoint, ...]:
     """The grid's cells in deterministic order (benchmark outer, design
-    inner — the same nesting convention ``SweepSpec.expand`` uses)."""
+    inner — the same nesting convention ``SweepSpec.expand`` uses);
+    ``artifacts`` is a :func:`plan_artifacts` result."""
     points: List[SweepPoint] = []
     for benchmark in spec.benchmarks:
         for design in spec.designs:
-            path, key, _built = artifacts.get(design, (None, "", False))
+            path, key, _build = artifacts.get(design, (None, "", False))
             points.append(
                 SweepPoint(
                     kind="campaign",
@@ -275,7 +297,8 @@ class CampaignResult:
     spec: CampaignSpec
     #: {benchmark: {design: RunResult}} — ``run_parsec_suite``'s shape
     suite: Dict[str, Dict[str, RunResult]]
-    #: {design: {"path", "key", "built"}} for the trainable designs
+    #: {design: {"path", "key", "built"}} for the trainable designs (a
+    #: design whose build was quarantined is left out, like its cells)
     artifacts: Dict[str, Dict[str, object]]
     #: raw per-cell results in grid order (None = quarantined)
     results: List[Optional[PointResult]]
@@ -333,23 +356,30 @@ def run_campaign(
 ) -> CampaignResult:
     """Run the full paper-figure grid; returns a :class:`CampaignResult`.
 
-    Phase 1 pretrains (or reuses) one frozen artifact per trainable
-    design; phase 2 fans the benchmarks x designs cells out through
-    :class:`SweepRunner` supervision, each cell cloning its policy from
-    the artifact.  Per-cell results are a pure function of
-    (config, cell, artifact content), so they are bit-identical across
-    benchmark orderings and ``jobs`` settings, and replay from the point
-    cache on reruns.  ``registry`` additionally absorbs ``campaign.*``
-    counters; ``tracer`` receives artifact build/reuse events (campaign
-    category).
+    One supervised :class:`SweepRunner` pass runs everything: an artifact
+    task pretrains each trainable design whose artifact is missing or
+    stale, then the benchmarks x designs cells run, each cloning its
+    policy from its design's artifact.  A trainable design's cells wait
+    for its artifact task; stateless cells are ready at once, so with
+    ``jobs > 1`` the builds run side by side and the stateless cells
+    fill the idle workers.  ``jobs=1`` builds in process first, then
+    runs the cells.  An artifact task is retried like a cell (but never
+    timed out, and never cached); if it is quarantined, so are its
+    design's cells, unlaunched, and the campaign carries on.
+
+    Per-cell results are a pure function of (config, cell, artifact
+    content), so they are bit-identical across benchmark orderings and
+    ``jobs`` settings, and replay from the point cache on reruns.
+    ``registry`` additionally absorbs ``campaign.*`` counters; ``tracer``
+    receives artifact build/reuse events (campaign category), emitted
+    here from the task outcomes whatever ``jobs`` is.
     """
     started = time.monotonic()
-    artifacts = build_artifacts(
-        spec, artifact_dir, refresh=refresh_artifacts, tracer=tracer
-    )
-    grid = CampaignGrid(config=spec.config, points=campaign_points(spec, artifacts))
+    plan = plan_artifacts(spec, artifact_dir, refresh=refresh_artifacts)
+    points = campaign_points(spec, plan)
+    builds = [design for design, (_path, _key, build) in plan.items() if build]
     runner = SweepRunner(
-        grid,
+        CampaignGrid(config=spec.config, points=points),
         jobs=jobs,
         cache_dir=cache_dir,
         use_cache=use_cache,
@@ -358,15 +388,35 @@ def run_campaign(
         point_timeout=point_timeout,
         max_retries=max_retries,
         registry=registry,
+        prerequisites=[
+            Prerequisite(
+                label=f"artifact:{design}:s{spec.seed}:a{plan[design][1][:8]}",
+                fn=_build_artifact,
+                args=(spec.config, design, spec.seed, artifact_dir),
+                dependents=tuple(
+                    i for i, point in enumerate(points) if point.design == design
+                ),
+            )
+            for design in builds
+        ],
     )
     results = runner.run()
+    outcomes = dict(zip(builds, runner.prerequisite_results))
+    artifacts: Dict[str, Dict[str, object]] = {}
+    for design, (path, key, build) in plan.items():
+        if build and outcomes[design] is None:
+            continue  # quarantined together with its cells
+        if not build:
+            logger.info("reusing pretrained artifact %s", path)
+        _emit_artifact(
+            tracer, "artifact_build" if build else "artifact_reuse",
+            design, spec.seed, key,
+        )
+        artifacts[design] = {"path": str(path), "key": key, "built": build}
     result = CampaignResult(
         spec=spec,
         suite=merge_campaign(results),
-        artifacts={
-            design: {"path": str(path), "key": key, "built": built}
-            for design, (path, key, built) in artifacts.items()
-        },
+        artifacts=artifacts,
         results=results,
         report=runner.report,
         elapsed_seconds=time.monotonic() - started,

@@ -25,7 +25,9 @@ completed point is worth persisting.  This module provides:
   moment each point lands, so a SIGKILL mid-sweep loses at most the
   points in flight.  :attr:`SweepRunner.report` summarizes the outcome
   (completed / retried / quarantined / elapsed) as a
-  :class:`SweepReport`;
+  :class:`SweepReport`.  A :class:`Prerequisite` (a campaign's artifact
+  pretrain) rides the same supervised pass: it launches first, and the
+  points that need it wait for it;
 * merge helpers that aggregate point results back into the
   benchmarks-x-designs shape :mod:`repro.sim.experiment` produces, so
   the normalized-to-baseline tables come out identical.
@@ -113,6 +115,7 @@ __all__ = [
     "SweepReport",
     "SweepCache",
     "SweepRunner",
+    "Prerequisite",
     "point_cache_key",
     "run_sweep_point",
     "merge_trace_grid",
@@ -768,15 +771,15 @@ def run_sweep_point(config: SimulationConfig, point: SweepPoint) -> Dict[str, ob
     return payload
 
 
-def _supervised_worker(conn, config: SimulationConfig, point: SweepPoint) -> None:
-    """Worker entry point: evaluate one point, report through the pipe.
+def _supervised_worker(conn, fn: Callable[..., object], args: Tuple) -> None:
+    """Worker entry point: run one task, report through the pipe.
 
-    Sends ``("ok", payload)`` or ``("error", reason)``; a worker that
+    Sends ``("ok", fn(*args))`` or ``("error", reason)``; a worker that
     dies before sending anything (OOM kill, segfault, SIGKILL) leaves
     the pipe at EOF, which the supervisor detects as a hard death.
     """
     try:
-        payload = run_sweep_point(config, point)
+        payload = fn(*args)
     except BaseException as exc:  # noqa: BLE001 - must never leak upward
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -791,18 +794,65 @@ def _supervised_worker(conn, config: SimulationConfig, point: SweepPoint) -> Non
         conn.close()
 
 
+@dataclass(frozen=True)
+class Prerequisite:
+    """Work that some points need finished before they may launch.
+
+    A campaign's artifact pretrain is the use case: ``fn(*args)`` writes
+    the artifact file that the points at ``dependents`` (indices into
+    the spec's expansion) load.  It runs under the same supervision as a
+    point — in a worker, retried after an exception or a worker death,
+    then quarantined — but it is exempt from ``point_timeout`` and never
+    cached, because its product is a file, not a payload.  A quarantined
+    prerequisite quarantines its pending dependents without launching
+    them.  Prerequisites launch before any point, and
+    :class:`SweepProgress` and :class:`SweepReport` count points only.
+    """
+
+    label: str
+    fn: Callable[..., object]
+    args: Tuple
+    dependents: Tuple[int, ...] = ()
+
+
 class _PendingTask:
-    """Supervisor bookkeeping for one not-yet-completed point."""
+    """Supervisor bookkeeping for one not-yet-completed point or
+    prerequisite (``point`` is None for a prerequisite)."""
 
-    __slots__ = ("index", "key", "point", "attempts", "not_before")
+    __slots__ = ("index", "key", "point", "prerequisite", "needs",
+                 "attempts", "not_before")
 
-    def __init__(self, index: int, key: str, point: SweepPoint) -> None:
+    def __init__(
+        self,
+        index: int,
+        key: str,
+        point: Optional[SweepPoint] = None,
+        prerequisite: Optional[Prerequisite] = None,
+    ) -> None:
+        #: result slot of a point; position of a prerequisite
         self.index = index
+        #: cache key of a point; label of a prerequisite (seeds backoff)
         self.key = key
         self.point = point
+        self.prerequisite = prerequisite
+        #: unfinished prerequisite task this point waits for (or None)
+        self.needs: Optional["_PendingTask"] = None
         self.attempts = 0
         #: monotonic time before which the task must not relaunch (backoff)
         self.not_before = 0.0
+
+    @property
+    def label(self) -> str:
+        return self.point.label() if self.point else self.prerequisite.label
+
+    @property
+    def kind(self) -> str:
+        return "point" if self.point else "prerequisite"
+
+    @property
+    def order(self) -> Tuple[bool, int]:
+        """Launch order: prerequisites first, then points in grid order."""
+        return (self.point is not None, self.index)
 
 
 # ----------------------------------------------------------------------
@@ -1067,6 +1117,12 @@ class SweepRunner:
         ``base * 2**(attempt-1) * (1 + jitter * u)`` with ``u`` drawn
         from a :class:`random.Random` seeded by (cache key, attempt) —
         deterministic per point, decorrelated across points.
+
+    ``prerequisites`` (:class:`Prerequisite`) join the same pass: they
+    launch first, their dependent points wait for them, and the other
+    points fill the free slots meanwhile.  After :meth:`run`,
+    :attr:`prerequisite_results` holds each one's return value (None if
+    it was quarantined).
     """
 
     def __init__(
@@ -1082,6 +1138,7 @@ class SweepRunner:
         retry_base_delay: float = 0.5,
         retry_jitter: float = 0.5,
         registry=None,
+        prerequisites: Sequence[Prerequisite] = (),
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -1102,6 +1159,8 @@ class SweepRunner:
         self.retry_jitter = retry_jitter
         self.executed = 0
         self.report: Optional[SweepReport] = None
+        self.prerequisites = tuple(prerequisites)
+        self.prerequisite_results: List[object] = []
         #: optional repro.obs MetricRegistry that absorbs the final
         #: SweepReport counts as ``sweep.*`` gauges after each run
         self.registry = registry
@@ -1120,8 +1179,17 @@ class SweepRunner:
         report = SweepReport(total=len(points))
         self.executed = 0
         self.report = report
+        self.prerequisite_results = [None] * len(self.prerequisites)
 
-        pending: List[_PendingTask] = []
+        waiting = [
+            _PendingTask(index, prerequisite.label, prerequisite=prerequisite)
+            for index, prerequisite in enumerate(self.prerequisites)
+        ]
+        needs = {
+            dependent: task
+            for task in waiting
+            for dependent in task.prerequisite.dependents
+        }
         for index, point in enumerate(points):
             key = point_cache_key(self.spec.config, point)
             payload = (
@@ -1134,14 +1202,16 @@ class SweepRunner:
                 report.from_cache += 1
                 report.completed += 1
             else:
-                pending.append(_PendingTask(index, key, point))
+                task = _PendingTask(index, key, point=point)
+                task.needs = needs.get(index)
+                waiting.append(task)
         self._report(state)
 
-        if pending:
+        if waiting:
             if self.jobs == 1:
-                self._run_serial(pending, results, state, report)
+                self._run_serial(waiting, results, state, report)
             else:
-                self._run_supervised(pending, results, state, report)
+                self._run_supervised(waiting, results, state, report)
         report.elapsed_seconds = time.monotonic() - started
         if self.registry is not None:
             self.registry.ingest("sweep", report.as_dict())
@@ -1157,65 +1227,69 @@ class SweepRunner:
             * (1.0 + self.retry_jitter * rng.random())
         )
 
-    def _run_serial(self, pending, results, state, report) -> None:
-        for task in pending:
+    def _call(self, task: _PendingTask) -> Tuple[Callable[..., object], Tuple]:
+        """What runs a task: the point evaluator, or the prerequisite's
+        function (looked up at launch, so a patched evaluator is used)."""
+        if task.point is None:
+            return task.prerequisite.fn, task.prerequisite.args
+        return run_sweep_point, (self.spec.config, task.point)
+
+    def _run_serial(self, waiting, results, state, report) -> None:
+        """In process, one task at a time in launch order (prerequisites
+        first), each retried in place until it lands or is quarantined."""
+        waiting.sort(key=lambda t: t.order)
+        while waiting:
+            task = waiting.pop(0)
             state.running = 1
-            state.current = task.point.label()
+            state.current = task.label
             self._report(state)
             payload = None
             reason = ""
             while payload is None:
+                fn, args = self._call(task)
                 try:
-                    payload = run_sweep_point(self.spec.config, task.point)
+                    payload = fn(*args)
                 except Exception as exc:  # noqa: BLE001 - quarantine, not crash
-                    task.attempts += 1
                     reason = f"{type(exc).__name__}: {exc}"
-                    if task.attempts > self.max_retries:
+                    delay = self._retry_delay(task, reason, report, state)
+                    if delay is None:
                         break
-                    report.retries += 1
-                    state.retried += 1
-                    delay = self._backoff_delay(task.key, task.attempts)
-                    logger.warning(
-                        "point %s failed (%s); retry %d/%d in %.2fs",
-                        task.point.label(), reason,
-                        task.attempts, self.max_retries, delay,
-                    )
                     if delay > 0:
                         time.sleep(delay)
             state.running = 0
             if payload is None:
-                self._quarantine(task, reason, report, state)
+                self._quarantine(task, reason, waiting, report, state)
             else:
-                self._finish(task.index, task.key, task.point, payload,
-                             results, state, report)
+                self._finish(task, payload, waiting, results, state, report)
 
     # ------------------------------------------------------------------
-    def _run_supervised(self, pending, results, state, report) -> None:
-        """Per-point worker processes under timeout/retry supervision."""
+    def _run_supervised(self, waiting, results, state, report) -> None:
+        """Per-task worker processes under timeout/retry supervision."""
         ctx = multiprocessing.get_context()
-        waiting = list(pending)
         active: Dict[object, List] = {}  # conn -> [task, process, deadline]
         try:
             while waiting or active:
                 now = time.monotonic()
                 launched = False
                 while len(active) < self.jobs:
-                    ready = [t for t in waiting if t.not_before <= now]
+                    ready = [
+                        t for t in waiting if t.needs is None and t.not_before <= now
+                    ]
                     if not ready:
                         break
-                    task = min(ready, key=lambda t: t.index)
+                    task = min(ready, key=lambda t: t.order)
                     waiting.remove(task)
                     parent, child = ctx.Pipe(duplex=False)
                     process = ctx.Process(
                         target=_supervised_worker,
-                        args=(child, self.spec.config, task.point),
+                        args=(child, *self._call(task)),
                         daemon=True,
                     )
                     process.start()
                     child.close()
                     deadline = (
                         now + self.point_timeout
-                        if self.point_timeout is not None
+                        if self.point_timeout is not None and task.point is not None
                         else None
                     )
                     active[parent] = [task, process, deadline]
@@ -1225,9 +1299,9 @@ class SweepRunner:
                     self._report(state)
 
                 if not active:
-                    # Every remaining task is backing off; sleep until the
-                    # earliest becomes launchable.
-                    wake = min(t.not_before for t in waiting)
+                    # Every remaining task is backing off (or waits for a
+                    # prerequisite that is); sleep until one can launch.
+                    wake = min(t.not_before for t in waiting if t.needs is None)
                     time.sleep(max(0.0, wake - time.monotonic()))
                     continue
 
@@ -1239,10 +1313,9 @@ class SweepRunner:
                     outcome, value = self._collect(conn, process)
                     state.running = len(active)
                     if outcome == "ok":
-                        self._finish(task.index, task.key, task.point, value,
-                                     results, state, report)
+                        self._finish(task, value, waiting, results, state, report)
                     else:
-                        if outcome == "death":
+                        if outcome == "death" and task.point is not None:
                             report.worker_deaths += 1
                         self._handle_failure(task, value, waiting, report, state)
 
@@ -1275,8 +1348,9 @@ class SweepRunner:
             for _task, _process, deadline in active.values()
             if deadline is not None
         ]
-        if len(active) < self.jobs and waiting:
-            candidates.append(min(t.not_before for t in waiting) - now)
+        launchable = [t.not_before for t in waiting if t.needs is None]
+        if len(active) < self.jobs and launchable:
+            candidates.append(min(launchable) - now)
         if not candidates:
             return None
         return max(0.0, min(candidates))
@@ -1310,46 +1384,70 @@ class SweepRunner:
             process.kill()
             process.join(timeout=2.0)
 
-    def _handle_failure(self, task, reason, waiting, report, state) -> None:
+    def _retry_delay(self, task, reason, report, state) -> Optional[float]:
+        """Count a failed attempt; the backoff before the next one, or
+        None once the task has used up its retries."""
         task.attempts += 1
         if task.attempts > self.max_retries:
-            self._quarantine(task, reason, report, state)
-            return
-        report.retries += 1
-        state.retried += 1
+            return None
+        if task.point is not None:
+            report.retries += 1
+            state.retried += 1
         delay = self._backoff_delay(task.key, task.attempts)
+        logger.warning(
+            "%s %s failed (%s); retry %d/%d in %.2fs",
+            task.kind, task.label, reason, task.attempts, self.max_retries, delay,
+        )
+        return delay
+
+    def _handle_failure(self, task, reason, waiting, report, state) -> None:
+        delay = self._retry_delay(task, reason, report, state)
+        if delay is None:
+            self._quarantine(task, reason, waiting, report, state)
+            return
         task.not_before = time.monotonic() + delay
         waiting.append(task)
-        logger.warning(
-            "point %s failed (%s); retry %d/%d in %.2fs",
-            task.point.label(), reason, task.attempts, self.max_retries, delay,
-        )
         self._report(state)
 
-    def _quarantine(self, task, reason, report, state) -> None:
-        label = task.point.label()
+    def _quarantine(self, task, reason, waiting, report, state) -> None:
+        label = task.label
+        logger.error(
+            "%s %s quarantined after %d attempt(s): %s",
+            task.kind, label, task.attempts, reason,
+        )
+        if task.point is None:
+            for dependent in [t for t in waiting if t.needs is task]:
+                waiting.remove(dependent)
+                self._quarantine(
+                    dependent, f"prerequisite {label} quarantined",
+                    waiting, report, state,
+                )
+            return
         report.quarantined.append(label)
         state.quarantined += 1
         state.done += 1
         state.current = label
-        logger.error(
-            "point %s quarantined after %d attempt(s): %s",
-            label, task.attempts, reason,
-        )
         self._report(state)
 
     # ------------------------------------------------------------------
-    def _finish(self, index, key, point, payload, results, state, report) -> None:
+    def _finish(self, task, payload, waiting, results, state, report) -> None:
+        state.current = task.label
+        if task.point is None:
+            self.prerequisite_results[task.index] = payload
+            for dependent in waiting:
+                if dependent.needs is task:
+                    dependent.needs = None
+            self._report(state)
+            return
         if self.cache:
             # Flush incrementally: a kill between points loses nothing.
-            self.cache.store(key, point, payload)
+            self.cache.store(task.key, task.point, payload)
         self.executed += 1
         report.executed += 1
         report.completed += 1
         state.executed_seconds.append(float(payload.get("elapsed", 0.0)))
-        results[index] = _payload_to_result(point, payload, cached=False)
+        results[task.index] = _payload_to_result(task.point, payload, cached=False)
         state.done += 1
-        state.current = point.label()
         self._report(state)
 
     def _report(self, state: SweepProgress) -> None:

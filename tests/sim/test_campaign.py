@@ -20,10 +20,13 @@ from repro.sim import (
     save_checkpoint,
     scaled_config,
 )
-from repro.sim.campaign import build_artifacts, campaign_points
+from repro.cli import main
+from repro.sim import campaign as campaign_module
+from repro.sim import sweep as sweep_module
+from repro.sim.campaign import campaign_points, plan_artifacts
 from repro.sim.checkpoint import CheckpointError
 from repro.sim.metrics import RunResult
-from repro.sim.sweep import SweepPoint, _eval_campaign
+from repro.sim.sweep import SweepPoint, _eval_campaign, point_cache_key
 
 
 def tiny_config(**overrides):
@@ -96,8 +99,9 @@ class TestArtifacts:
             benchmarks=("swaptions",),
             designs=("crc", "arq_ecc", "rl"),
         )
-        artifacts = build_artifacts(spec, tmp_path)
+        artifacts = plan_artifacts(spec, tmp_path)
         assert set(artifacts) == {"rl"}
+        assert artifacts["rl"][2]  # missing, so planned for a build
         points = campaign_points(spec, artifacts)
         assert len(points) == 3
         by_design = {p.design: p for p in points}
@@ -191,6 +195,139 @@ class TestRunCampaign:
         kinds = {ev.kind for ev in tracer.events(["campaign"])}
         assert "artifact_reuse" in kinds
         assert "complete" in kinds
+
+
+# ----------------------------------------------------------------------
+# One supervised pass: artifact tasks beside the cells
+# ----------------------------------------------------------------------
+#: artifact and cell cache keys of one fixed campaign cell (rl on
+#: swaptions, seed 3, tiny_config) and of its stateless sibling (crc),
+#: recorded before artifact builds moved into the runner's task list
+PINNED_ARTIFACT_KEY = "9d44cc2d339b2094f972655b"
+PINNED_CELL_KEYS = {"crc": "062b18eaedb634f66e8543e4", "rl": "8f73d10e0e034a270ce26ef9"}
+
+def _spec():
+    """Both trainable designs plus one stateless design."""
+    return CampaignSpec(
+        config=tiny_config(), benchmarks=BENCHMARKS, designs=("crc", "dt", "rl"),
+        seed=3, trace_cycles=300,
+    )
+
+
+def _suite_dicts(result):
+    return {
+        bench: {design: run.constructor_dict() for design, run in row.items()}
+        for bench, row in result.suite.items()
+    }
+
+
+class TestCampaignPass:
+    def test_cell_cache_keys_are_pinned(self, tmp_path):
+        spec = CampaignSpec(
+            config=tiny_config(), benchmarks=("swaptions",), designs=("crc", "rl"),
+            seed=3, trace_cycles=400,
+        )
+        points = campaign_points(spec, plan_artifacts(spec, tmp_path))
+        assert points[1].artifact_hash == PINNED_ARTIFACT_KEY
+        assert {
+            point.design: point_cache_key(spec.config, point) for point in points
+        } == PINNED_CELL_KEYS
+
+    def test_worker_builds_equal_in_process_builds(self, tmp_path):
+        spec = _spec()
+        runs = {}
+        for jobs in (2, 1):
+            tracer = TraceBuffer()
+            result = run_campaign(
+                spec, jobs=jobs, artifact_dir=tmp_path / f"artifacts-{jobs}",
+                cache_dir=tmp_path / f"cache-{jobs}", tracer=tracer,
+            )
+            assert result.succeeded
+            assert result.report.retries == 0  # no cell launched before its artifact
+            assert result.counters()["artifacts_built"] == 2
+            builds = [
+                ev.data["design"] for ev in tracer.events(["campaign"])
+                if ev.kind == "artifact_build"
+            ]
+            assert builds == ["dt", "rl"]  # one per trainable design
+            runs[jobs] = result
+        for design in ("dt", "rl"):
+            worker_state, _ = load_policy_artifact(runs[2].artifacts[design]["path"])
+            serial_state, _ = load_policy_artifact(runs[1].artifacts[design]["path"])
+            assert worker_state == serial_state, design
+        assert _suite_dicts(runs[2]) == _suite_dicts(runs[1])
+
+
+def _fail_dt_pretrain(monkeypatch, tmp_path):
+    """Make every dt pretrain raise, and log each cell that launches (the
+    patches reach forked workers too)."""
+    real_pretrain = campaign_module.pretrain_policy
+    real_point = sweep_module.run_sweep_point
+    launched = tmp_path / "launched.txt"
+
+    def pretrain(policy, config, seed=0):
+        if isinstance(policy, DecisionTreePolicy):
+            raise RuntimeError("dt pretrain failed")
+        return real_pretrain(policy, config, seed=seed)
+
+    def logged(config, point):
+        with open(launched, "a", encoding="utf-8") as handle:
+            handle.write(point.label() + "\n")
+        return real_point(config, point)
+
+    monkeypatch.setattr("repro.sim.campaign.pretrain_policy", pretrain)
+    monkeypatch.setattr("repro.sim.sweep.run_sweep_point", logged)
+    return launched
+
+
+class TestArtifactTaskFailure:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_pretrain_quarantines_only_its_cells(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        launched = _fail_dt_pretrain(monkeypatch, tmp_path)
+        spec = _spec()
+        artifact_dir = tmp_path / "artifacts"
+        tracer = TraceBuffer()
+        result = run_campaign(
+            spec, jobs=jobs, artifact_dir=artifact_dir,
+            cache_dir=tmp_path / "cache", max_retries=1, tracer=tracer,
+        )
+        points = campaign_points(spec, plan_artifacts(spec, artifact_dir))
+        dt_cells = sorted(p.label() for p in points if p.design == "dt")
+        other_cells = sorted(p.label() for p in points if p.design != "dt")
+        assert not result.succeeded
+        assert sorted(result.report.quarantined) == dt_cells
+        assert sorted(launched.read_text().split()) == other_cells  # dt never launched
+        assert result.report.executed == len(other_cells)
+        assert result.report.retries == 0  # the build's retry is not a cell's
+        for row in result.suite.values():
+            assert set(row) == {"crc", "rl"}
+        assert set(result.artifacts) == {"rl"}
+        counters = result.counters()
+        assert counters["artifacts_built"] == 1
+        assert counters["cells_quarantined"] == len(dt_cells)
+        builds = [
+            ev.data["design"] for ev in tracer.events(["campaign"])
+            if ev.kind == "artifact_build"
+        ]
+        assert builds == ["rl"]
+        assert not list(artifact_dir.glob("dt-*"))
+
+    def test_cli_exits_1(self, tmp_path, monkeypatch, capsys):
+        _fail_dt_pretrain(monkeypatch, tmp_path)
+        argv = [
+            "campaign", "--benchmarks", "swaptions", "--designs", "crc,dt",
+            "--width", "3", "--height", "3", "--epoch", "100",
+            "--pretrain", "1200", "--warmup", "200", "--trace-cycles", "300",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--artifact-dir", str(tmp_path / "artifacts"),
+            "--jobs", "2", "--retries", "0", "--json",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "0 artifact(s) built, 0 reused; 1 cell(s) simulated" in err
+        assert "1 cell(s) quarantined: campaign:dt:swaptions" in err
 
 
 class TestCampaignCell:

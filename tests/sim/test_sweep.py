@@ -21,7 +21,7 @@ from repro.sim import (
     run_parsec_suite,
     scaled_config,
 )
-from repro.sim.sweep import CACHE_SCHEMA, MODE_DESIGNS
+from repro.sim.sweep import CACHE_SCHEMA, MODE_DESIGNS, Prerequisite
 
 
 def tiny_config(**overrides):
@@ -496,6 +496,78 @@ class TestSupervision:
             self._runner(tmp_path, max_retries=-1)
         with pytest.raises(ValueError, match="backoff"):
             self._runner(tmp_path, retry_base_delay=-1.0)
+
+
+# ----------------------------------------------------------------------
+# Prerequisite tasks in the same supervised pass
+# ----------------------------------------------------------------------
+def _slow_marker(path, delay):
+    time.sleep(delay)
+    path.write_text("built")
+    return {"built": str(path)}
+
+
+def _failing_prerequisite(path, delay):
+    raise RuntimeError("build failed")
+
+
+def _point_logging_marker(log, marker):
+    real = __import__("repro.sim.sweep", fromlist=["run_sweep_point"]).run_sweep_point
+
+    def run(config, point):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{point.design} {int(marker.exists())}\n")
+        return real(config, point)
+
+    return run
+
+
+class TestPrerequisites:
+    def _run(self, tmp_path, monkeypatch, fn, **kwargs):
+        marker, log = tmp_path / "marker", tmp_path / "log"
+        monkeypatch.setattr(
+            "repro.sim.sweep.run_sweep_point", _point_logging_marker(log, marker)
+        )
+        runner = SweepRunner(
+            tiny_trace_spec(), cache_dir=tmp_path / "cache", retry_base_delay=0.01,
+            prerequisites=[Prerequisite("build", fn, (marker, 0.6), dependents=(1,))],
+            **kwargs,
+        )
+        results = runner.run()
+        launches = dict(line.split() for line in log.read_text().splitlines())
+        return runner, results, launches
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_dependent_waits_and_independent_fills_the_slot(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        runner, results, launches = self._run(
+            tmp_path, monkeypatch, _slow_marker, jobs=jobs, point_timeout=0.3,
+        )
+        assert all(r is not None for r in results)
+        # exempt from point_timeout: the 0.6 s build outlives the 0.3 s limit
+        assert runner.prerequisite_results == [{"built": str(tmp_path / "marker")}]
+        assert launches["arq_ecc"] == "1"  # the dependent saw the build
+        # in parallel the independent point ran beside the build;
+        # serially it ran after it
+        assert launches["crc"] == ("1" if jobs == 1 else "0")
+        # the report and progress count points only
+        assert runner.report.total == 2 and runner.report.executed == 2
+        assert runner.report.timeouts == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_quarantined_prerequisite_quarantines_dependents_unlaunched(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        runner, results, launches = self._run(
+            tmp_path, monkeypatch, _failing_prerequisite, jobs=jobs, max_retries=1,
+        )
+        assert runner.prerequisite_results == [None]
+        assert results[0] is not None and results[1] is None
+        assert set(launches) == {"crc"}
+        spec = tiny_trace_spec()
+        assert runner.report.quarantined == [spec.expand()[1].label()]
+        assert runner.report.retries == 0  # the build's retry is not a point's
 
 
 class TestRunnerCaching:
