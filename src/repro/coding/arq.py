@@ -9,21 +9,21 @@ The classes here are protocol bookkeeping only — they know nothing about
 routers or cycles beyond opaque timestamps — which keeps them unit-testable
 and lets :mod:`repro.noc.router` wire them to real channels.
 
-Two small pieces live here:
+The pieces here:
 
 * :class:`RetransmissionBuffer` — the per-output-port sender-side window
   of unacknowledged flits (stop-and-wait generalized to a window).
-* :class:`AckMessage` — the sideband ACK/NACK token exchanged between
-  adjacent routers, carrying the sequence number it refers to.
+* :func:`nack_token` — the ACK/NACK encoding exchanged between adjacent
+  routers: one bare int per acknowledgement, so a clean protected hop
+  allocates nothing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Generic, Iterator, Optional, Tuple, TypeVar
 
-__all__ = ["AckKind", "AckMessage", "RetransmissionBuffer", "ArqError"]
+__all__ = ["RetransmissionBuffer", "ArqError", "nack_token"]
 
 T = TypeVar("T")
 
@@ -32,63 +32,16 @@ class ArqError(Exception):
     """Protocol violation (duplicate sequence, unknown ACK, overflow)."""
 
 
-@dataclass(frozen=True)
-class AckKind:
-    """Namespace of ACK polarity constants."""
+def nack_token(seq: int) -> int:
+    """Sideband token of a NACK for sequence number ``seq``.
 
-    ACK = "ack"
-    NACK = "nack"
-
-
-class AckMessage:
-    """A sideband acknowledgement for one transmitted flit.
-
-    Hand-written slotted value class (dataclass ``slots=True`` needs
-    Python 3.10, and one of these is allocated per protected flit, so it
-    sits on the hot path).
-
-    Attributes
-    ----------
-    seq:
-        Sender-side sequence number being acknowledged.
-    kind:
-        ``AckKind.ACK`` (release the copy) or ``AckKind.NACK``
-        (retransmit the copy).
-    created_at:
-        Cycle the receiver generated the message (for latency accounting).
+    The router's ACK/NACK wire carries bare ints: a plain ACK is its
+    sequence number (never negative) and a NACK is ``~seq`` (always
+    negative), so the sender tells them apart by sign and ``~token``
+    recovers the NACKed sequence number.  Both kinds share one
+    time-ordered list, so they arrive in the order they were sent.
     """
-
-    __slots__ = ("seq", "kind", "created_at")
-
-    def __init__(self, seq: int, kind: str, created_at: int = 0) -> None:
-        self.seq = seq
-        self.kind = kind
-        self.created_at = created_at
-
-    @property
-    def is_nack(self) -> bool:
-        return self.kind == AckKind.NACK
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AckMessage):
-            return NotImplemented
-        return (
-            self.seq == other.seq
-            and self.kind == other.kind
-            and self.created_at == other.created_at
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.seq, self.kind, self.created_at))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AckMessage(seq={self.seq}, kind={self.kind!r}, created_at={self.created_at})"
-
-    def __getstate__(self):
-        return (self.seq, self.kind, self.created_at)
-
-    def __setstate__(self, state) -> None:
-        self.seq, self.kind, self.created_at = state
+    return ~seq
 
 
 class RetransmissionBuffer(Generic[T]):
@@ -198,11 +151,12 @@ class RetransmissionBuffer(Generic[T]):
         """Return the stored copy without touching statistics."""
         return self._entries.get(seq)
 
-    def handle(self, message: AckMessage) -> Tuple[bool, T]:
-        """Apply an :class:`AckMessage`; returns ``(retransmit, item)``."""
-        if message.is_nack:
-            return True, self.nack(message.seq)
-        return False, self.ack(message.seq)
+    def handle(self, token: int) -> Tuple[bool, T]:
+        """Apply an ACK/NACK token (see :func:`nack_token`); returns
+        ``(retransmit, item)``."""
+        if token < 0:
+            return True, self.nack(~token)
+        return False, self.ack(token)
 
     def flush(self) -> None:
         """Drop all pending entries (used when a link is reconfigured)."""

@@ -6,7 +6,8 @@ A :class:`Channel` is the directed link the paper calls "channel i"
 * data transmissions (flits, possibly ECC-protected, possibly mode-2
   duplicates), delivered after ``latency`` cycles;
 * the sideband acknowledgement wire back to the sender (ACK/NACK flits of
-  the ARQ protocol, Fig. 1(c));
+  the ARQ protocol, Fig. 1(c)), each an int token: a plain ACK is its
+  sequence number, a NACK its :func:`~repro.coding.arq.nack_token`;
 * the credit-return wire of the VC flow control.
 
 Both sideband lists are time-ordered: every sender schedules a credit or
@@ -30,7 +31,6 @@ import math
 import operator
 from typing import List, Optional, Set, Tuple
 
-from repro.coding.arq import AckMessage
 from repro.noc.packet import Flit
 from repro.noc.topology import ChannelSpec
 
@@ -269,8 +269,8 @@ class Channel:
         #: a Network (unit tests) registers in a private set nobody reads
         self._active: Set[int] = set()
         self._data: List[Transmission] = []
-        #: (deliver_cycle, AckMessage) back toward the sender
-        self._acks: List[Tuple[int, AckMessage]] = []
+        #: (deliver_cycle, ACK/NACK token) back toward the sender
+        self._acks: List[Tuple[int, int]] = []
         #: (deliver_cycle, vc) credit returns toward the sender
         self._credits: List[Tuple[int, int]] = []
 
@@ -305,9 +305,9 @@ class Channel:
             self._data.append(transmission)
             self._active.add(self.index)
 
-    def send_ack(self, message: AckMessage, deliver_at: int) -> None:
+    def send_ack(self, token: int, deliver_at: int) -> None:
         if self.alive:
-            self._acks.append((deliver_at, message))
+            self._acks.append((deliver_at, token))
             self._active.add(self.index)
 
     def send_credit(self, vc: int, deliver_at: int) -> None:
@@ -350,8 +350,8 @@ class Channel:
                 due.sort(key=_arrive_key)
         return due
 
-    def pop_acks(self, now: int) -> List[AckMessage]:
-        """Remove and return sideband ACK/NACKs due at ``now``."""
+    def pop_acks(self, now: int) -> List[int]:
+        """Remove and return the ACK/NACK tokens due at ``now``."""
         acks = self._acks
         if not acks:
             return []

@@ -323,8 +323,8 @@ class Network:
                 sender = self.routers[src]
                 for vc in channel.pop_credits(now):
                     sender.receive_credit(int(src_port), vc)
-                for message in channel.pop_acks(now):
-                    sender.receive_ack(int(src_port), message)
+                for token in channel.pop_acks(now):
+                    sender.receive_ack(int(src_port), token)
 
         for channel in self.channels.values():
             if channel.has_pending_data:
@@ -398,8 +398,8 @@ class Network:
                     else:
                         for vc in channel.pop_credits(now):
                             sender.receive_credit(src_port, vc)
-                        for message in channel.pop_acks(now):
-                            sender.receive_ack(src_port, message)
+                        for token in channel.pop_acks(now):
+                            sender.receive_ack(src_port, token)
                 data = channel._data
                 if data:
                     # May push sideband back onto this same channel
@@ -744,12 +744,14 @@ class Network:
         for router in self.routers:
             router.epoch.reset()
 
-    def drain(self, max_cycles: int, poll: int = 64) -> int:
+    def drain(self, max_cycles: int) -> int:
         """Run until every message is delivered; returns cycles spent.
 
-        Raises ``RuntimeError`` if the network fails to drain within
-        ``max_cycles`` — which in a correct configuration indicates a
-        protocol bug, so it is loud by design.
+        Quiescence is checked after every cycle (it is an O(1) counter
+        read), so the return value is the exact cycle count to the last
+        delivery.  Raises ``RuntimeError`` if the network fails to drain
+        within ``max_cycles`` — which in a correct configuration
+        indicates a protocol bug, so it is loud by design.
         """
         start = self.now
         while not self.quiescent:
@@ -759,6 +761,5 @@ class Network:
                     f"network failed to drain: {outstanding} messages "
                     f"outstanding after {max_cycles} cycles"
                 )
-            for _ in range(poll):
-                self.cycle()
+            self.cycle()
         return self.now - start

@@ -35,26 +35,38 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.coding.arq import AckKind, AckMessage, RetransmissionBuffer
+from repro.coding.arq import RetransmissionBuffer, nack_token
 from repro.core.modes import MODE_BEHAVIOUR, ModeBehaviour, OperationMode
 from repro.noc.arbiters import RoundRobinArbiter
 from repro.noc.buffers import InputPort, VCState, VirtualChannel
 from repro.noc.channel import Channel, Transmission
 from repro.noc.faultstate import FaultState
 from repro.noc.packet import Flit, Packet
-from repro.noc.routing import RoutingFunction, xy_route
+from repro.noc.routing import AdaptiveRoute, RoutingFunction, xy_route, yx_route
 from repro.noc.stats import RouterEpochStats
 from repro.noc.topology import MeshTopology, Port
 
-__all__ = ["OutputLink", "Router", "ECC_PIPELINE_CYCLES"]
+__all__ = [
+    "OutputLink",
+    "Router",
+    "ECC_PIPELINE_CYCLES",
+    "RC_REROUTED",
+    "RC_UNREACHABLE",
+    "RC_DEAD_PORT",
+]
 
 #: Extra cycles a protected (ECC) transfer spends in the encoder/decoder.
 ECC_PIPELINE_CYCLES = 1
 
 _NUM_PORTS = len(Port)
 _LOCAL = int(Port.LOCAL)
-_ACK = AckKind.ACK
-_NACK = AckKind.NACK
+#: route-computation verdicts besides a plain output port (0..4): the
+#: port plus this offset means "use the port, counted as a reroute"
+RC_REROUTED = _NUM_PORTS
+#: drop the packet: destination cut off from this router
+RC_UNREACHABLE = -1
+#: drop the packet: the policy chose a dead output link
+RC_DEAD_PORT = -2
 #: rotating output-port scan orders for SA, indexed by ``now % N`` —
 #: precomputed so the hot loop does no per-step modular arithmetic
 _PORT_ORDERS = tuple(
@@ -75,6 +87,22 @@ def _mode_datapath(behaviour: ModeBehaviour) -> Tuple[bool, bool, bool, int, int
         behaviour.extra_cycles_before_send + (ECC_PIPELINE_CYCLES if ecc else 0),
         behaviour.link_slots_per_flit,
     )
+
+
+def _is_cacheable_route(
+    routing_fn: RoutingFunction, fault_state: Optional[FaultState]
+) -> bool:
+    """Whether ``routing_fn``'s port is a pure function of (node, dest) and
+    ``fault_state``'s dead sets, so a router may cache it per destination
+    until ``fault_state.version`` changes.
+
+    True for ``xy_route``, ``yx_route`` and an adaptive route over that
+    very fault state; False for O1TURN (its selector advances per call)
+    and for any other callable, whose purity is unknown.
+    """
+    if routing_fn is xy_route or routing_fn is yx_route:
+        return True
+    return isinstance(routing_fn, AdaptiveRoute) and routing_fn.fault_state is fault_state
 
 
 class OutputLink:
@@ -131,6 +159,13 @@ class Router:
         #: shared hard-fault state (None only for standalone router tests)
         self.fault_state = fault_state
         self._fault_aware = bool(getattr(routing_fn, "fault_aware", False))
+        #: RC verdict per destination (see route_verdict), kept only for
+        #: routing functions whose answer is a pure function of the fault
+        #: state; allocated at the first route computation (version -1:
+        #: none yet) and emptied after every FaultState.version change
+        self._rc_cached = _is_cacheable_route(routing_fn, fault_state)
+        self._rc_row: List[Optional[int]] = []
+        self._rc_version = -1
         #: ``(packet, router_id, unreachable)`` callback installed by the
         #: Network; invoked when RC discards an unroutable packet so the
         #: network can do message-level accounting
@@ -268,13 +303,16 @@ class Router:
             )
         self._maybe_release_output_vc(link, vc)
 
-    def receive_ack(self, port: int, message: AckMessage) -> None:
+    def receive_ack(self, port: int, token: int) -> None:
+        """Apply one sideband token: an ACK's sequence number, or a NACK's
+        :func:`~repro.coding.arq.nack_token`."""
         link = self.outputs[port]
-        if message.is_nack:
+        if token < 0:
+            nacked = ~token
             self.epoch.nacks_in[port] += 1
             # Go-back-N rewind: schedule the NACKed flit and everything
             # sent after it (still unacknowledged) for in-order resend.
-            link.pending_retx = deque(seq for seq, _ in link.arq if seq >= message.seq)
+            link.pending_retx = deque(seq for seq, _ in link.arq if seq >= nacked)
             if link.pending_retx and port not in self._retx_ports:
                 self._retx_ports.append(port)
                 self._wake()
@@ -284,21 +322,21 @@ class Router:
                 # This ACK may be the one that drains the window and
                 # unblocks the deferred mode switch in step().
                 self._wake()
-            item = link.arq.release(message.seq)
+            item = link.arq.release(token)
             if item is not None:
                 self.epoch.arq_buffer_ops += 1
                 # The ACK may complete a draining packet's in-flight set.
                 self._maybe_release_output_vc(link, item.vc)
-            if message.seq in link.pending_retx:
+            if token in link.pending_retx:
                 # A mode-2 duplicate repaired the flit before the rewind
                 # resent it — cancel the now-pointless retransmission.
-                link.pending_retx = deque(s for s in link.pending_retx if s != message.seq)
+                link.pending_retx = deque(s for s in link.pending_retx if s != token)
 
     def receive_sideband(
         self,
         port: int,
         credits: List[Tuple[int, int]],
-        acks: List[Tuple[int, AckMessage]],
+        acks: List[Tuple[int, int]],
     ) -> None:
         """Apply one channel's due sideband: its credits, then its ACK/NACKs.
 
@@ -325,12 +363,12 @@ class Router:
             return
         epoch = self.epoch
         arq = link.arq
-        for _at, message in acks:
-            if message.kind != _ACK or self._pending_mode is not None or link.pending_retx:
-                self.receive_ack(port, message)
+        for _at, token in acks:
+            if token < 0 or self._pending_mode is not None or link.pending_retx:
+                self.receive_ack(port, token)
                 continue
             epoch.acks_in[port] += 1
-            item = arq.release(message.seq)
+            item = arq.release(token)
             if item is not None:
                 epoch.arq_buffer_ops += 1
                 vc = item.vc
@@ -388,7 +426,7 @@ class Router:
                     # yet deliver into the reserved slot); a corrupted
                     # duplicate at the expected sequence means both copies
                     # died, so the credit comes back here.
-                    channel.send_ack(AckMessage(seq, _NACK, now), now + 1)
+                    channel.send_ack(nack_token(seq), now + 1)
                     if not t.paired:
                         channel.send_credit(t.vc, now + 1)
                     epoch.nacks_out[port] += 1
@@ -401,8 +439,8 @@ class Router:
                     # and escapes to the destination CRC.
                     t.flit.error_mask ^= error_model.sample_mask(errors)
                     epoch.escaped_errors += 1
-                if channel.alive:  # Channel.send_ack, inlined
-                    channel._acks.append((now + 1, AckMessage(seq, _ACK, now)))
+                if channel.alive:  # Channel.send_ack of a plain ACK, inlined
+                    channel._acks.append((now + 1, seq))
                     channel._active.add(channel.index)
                 epoch.acks_out[port] += 1
                 expected_seq[port] = seq + 1
@@ -689,18 +727,26 @@ class Router:
         for vc in self._waiting:
             if vc.stage_ready_cycle <= now:
                 by_port.setdefault(vc.out_port, {})[vc.line] = vc
+        epoch = self.epoch
         for out_port, candidates in by_port.items():
-            free_vcs = self._free_output_vcs(out_port)
-            if not free_vcs:
-                continue
+            if out_port == _LOCAL:
+                allocated = self._local_vc_allocated
+            else:
+                link = self.outputs.get(out_port)
+                if link is None:
+                    continue
+                allocated = link.vc_allocated
+            arbiter = self._va_arbiters[out_port]
             eligible = list(candidates)
-            for out_vc in free_vcs:
+            # Granting marks only the VC just visited, so reading the
+            # flags live visits exactly the VCs free before the stage.
+            for out_vc in range(self.num_vcs):
+                if allocated[out_vc]:
+                    continue
                 if not eligible:
                     break
-                self.epoch.arbitration_ops += 1
-                line = self._va_arbiters[out_port].grant_from(eligible)
-                if line is None:
-                    break
+                epoch.arbitration_ops += 1
+                line = arbiter.grant_from(eligible)
                 eligible.remove(line)
                 winner = candidates[line]
                 winner.out_vc = out_vc
@@ -708,49 +754,82 @@ class Router:
                 winner.stage_ready_cycle = now + 1
                 del self._waiting[winner]
                 self._active[winner] = None
-                if out_port == _LOCAL:
-                    self._local_vc_allocated[out_vc] = True
-                else:
-                    self.outputs[out_port].vc_allocated[out_vc] = True
-
-    def _free_output_vcs(self, out_port: int) -> List[int]:
-        if out_port == _LOCAL:
-            allocated = self._local_vc_allocated
-        else:
-            link = self.outputs.get(out_port)
-            if link is None:
-                return []
-            allocated = link.vc_allocated
-        return [v for v in range(self.num_vcs) if not allocated[v]]
+                allocated[out_vc] = True
 
     # -- RC ---------------------------------------------------------------
-    def _stage_route_computation(self, now: int) -> None:
+    def route_verdict(self, dest: int) -> int:
+        """Route computation's verdict for a head flit bound to ``dest``.
+
+        An output port (0..4), that port plus ``RC_REROUTED`` (a
+        fault-aware detour off the XY port, counted as a reroute), or a
+        drop, ``RC_UNREACHABLE`` or ``RC_DEAD_PORT``.  For xy, yx and
+        adaptive routing the verdict is read from this router's row — a
+        pure cache of (router, ``dest``, ``FaultState.version``), filled
+        on first use.  Other routing functions (O1TURN's selector is
+        state) compute every verdict afresh.
+        """
+        row = self._route_row()
+        if row is None:
+            return self._compute_route_verdict(dest)
+        verdict = row[dest]
+        if verdict is None:
+            verdict = row[dest] = self._compute_route_verdict(dest)
+        return verdict
+
+    def _route_row(self) -> Optional[List[Optional[int]]]:
+        """The verdict row, emptied if the fault state changed since it
+        was filled; None when the routing function is not cacheable."""
+        if not self._rc_cached:
+            return None
         fault_state = self.fault_state
-        faulty = fault_state is not None and fault_state.any_faults
+        version = 0 if fault_state is None else fault_state.version
+        if version != self._rc_version:
+            self._rc_version = version
+            self._rc_row = [None] * self.topology.num_nodes
+        return self._rc_row
+
+    def _compute_route_verdict(self, dest: int) -> int:
+        """The routing call, then the fault checks, folded into a verdict."""
+        out = int(self.routing_fn(self.topology, self.id, dest))
+        fault_state = self.fault_state
+        if fault_state is None or not fault_state.any_faults:
+            return out
+        if not fault_state.reachable(self.id, dest):
+            return RC_UNREACHABLE
+        if out != _LOCAL and not fault_state.link_alive(self.id, out):
+            # A deterministic (non-fault-aware) policy steered the packet
+            # into a dead link: discard with accounting rather than
+            # wedging the buffer.
+            return RC_DEAD_PORT
+        if self._fault_aware and out != int(xy_route(self.topology, self.id, dest)):
+            return out + RC_REROUTED
+        return out
+
+    def _stage_route_computation(self, now: int) -> None:
+        row = self._route_row()
         for vc in list(self._routing):
-            if vc.stage_ready_cycle <= now:
-                head = vc.front
-                out = int(self.routing_fn(self.topology, self.id, head.dest))
-                if faulty:
-                    if not fault_state.reachable(self.id, head.dest):
-                        self._drop_in_routing(vc, now, unreachable=True)
-                        continue
-                    if out != _LOCAL and not fault_state.link_alive(self.id, out):
-                        # A deterministic (non-fault-aware) policy steered
-                        # the packet into a dead link: discard with
-                        # accounting rather than wedging the buffer.
-                        self._drop_in_routing(vc, now, unreachable=False)
-                        continue
-                    if self._fault_aware and out != int(
-                        xy_route(self.topology, self.id, head.dest)
-                    ):
-                        self.epoch.reroutes += 1
-                vc.out_port = out
-                head.packet.path.append(self.id)
-                vc.state = VCState.WAITING_VC
-                vc.stage_ready_cycle = now + 1
-                del self._routing[vc]
-                self._waiting[vc] = None
+            if vc.stage_ready_cycle > now:
+                continue
+            head = vc.front
+            dest = head.dest
+            if row is None:
+                verdict = self._compute_route_verdict(dest)
+            else:
+                verdict = row[dest]
+                if verdict is None:
+                    verdict = row[dest] = self._compute_route_verdict(dest)
+            if verdict < 0:
+                self._drop_in_routing(vc, now, unreachable=verdict == RC_UNREACHABLE)
+                continue
+            if verdict >= RC_REROUTED:
+                self.epoch.reroutes += 1
+                verdict -= RC_REROUTED
+            vc.out_port = verdict
+            head.packet.path.append(self.id)
+            vc.state = VCState.WAITING_VC
+            vc.stage_ready_cycle = now + 1
+            del self._routing[vc]
+            self._waiting[vc] = None
 
     def _drop_in_routing(self, vc: VirtualChannel, now: int, unreachable: bool) -> None:
         """Discard the packet heading this VC before it allocates anything.

@@ -87,9 +87,10 @@ class O1TurnRoute:
 
     ``selector`` is any sequence consulted round-robin; in the simulator it
     is seeded per-router so the choice is deterministic and reproducible.
-    Note: full O1TURN requires VC partitioning for deadlock freedom; the
-    simulator assigns even VCs to XY and odd VCs to YX packets when this
-    function is active.
+    Note: full O1TURN needs separate VC classes for XY and YX packets to
+    be deadlock-free.  The simulator runs it without VC classes — VC
+    allocation treats every packet alike — so the network's invariant
+    watchdog is the deadlock backstop.
 
     A plain class (not a closure) so the consumed selector position
     survives a checkpoint pickle — resuming a run mid-flight must replay

@@ -100,7 +100,11 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: network keeps one fused per-channel delivery table and each router
 #: caches its mode's datapath tuple — so version-4 bodies would restore
 #: into a network and routers missing those attributes.
-CHECKPOINT_VERSION = 5
+#: Version 6: each router keeps a cached route-computation verdict row
+#: and the ACK/NACK sideband carries int tokens instead of ``AckMessage``
+#: objects, so version-5 bodies would restore into routers missing the
+#: row and channels holding the old message objects.
+CHECKPOINT_VERSION = 6
 
 #: Pretrained-policy campaign artifacts share the container format but
 #: version independently: an artifact body is a ``ControlPolicy.to_state``

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import AckKind, AckMessage, ArqError, RetransmissionBuffer
+from repro.coding import ArqError, RetransmissionBuffer, nack_token
 
 
 class TestBasics:
@@ -76,9 +76,9 @@ class TestAckNack:
     def test_handle_dispatches_on_kind(self):
         buf = RetransmissionBuffer(4)
         seq = buf.push("x")
-        retransmit, item = buf.handle(AckMessage(seq, AckKind.NACK))
+        retransmit, item = buf.handle(nack_token(seq))
         assert retransmit and item == "x"
-        retransmit, item = buf.handle(AckMessage(seq, AckKind.ACK))
+        retransmit, item = buf.handle(seq)
         assert not retransmit and item == "x"
 
     def test_flush_empties(self):

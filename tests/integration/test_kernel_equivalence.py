@@ -4,10 +4,18 @@ DESIGN.md §11's core contract: for any seed and workload, the fast
 kernel and the reference full-scan kernel must produce *bit-identical*
 results — same deliveries, same retransmissions, same RNG-driven error
 pattern, same final statistics.  These tests drive matched networks
-through healthy and hard-fault campaigns under both routing policies and
+through healthy and hard-fault campaigns under every routing policy and
 compare everything observable.
+
+Both kernels share the router pipeline, the channel and the ARQ
+sideband, so fast == naive alone cannot catch a change in that shared
+code.  Each fingerprint is therefore also pinned to a golden digest.
+If a change moves a digest on purpose, update the constant in the same
+commit and say why.  Run this file as a script to print the digests.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -18,6 +26,19 @@ from repro.noc.packet import Packet
 from repro.noc.topology import MeshTopology, Port
 
 CHAOS_SPEC = "link@400:1E;router@900:5;burst@600+300:0.05"
+
+#: (seed, routing, fault spec) -> sha256 prefix of the fast fingerprint
+GOLDEN_KERNELS = {
+    (0, "xy", None): "8c86f130622141f9",
+    (1, "adaptive", None): "6450925e9d947e30",
+    (2, "xy", CHAOS_SPEC): "cb50f5bb74a2a246",
+    (3, "adaptive", CHAOS_SPEC): "dceda0c908ea99a0",
+    (4, "adaptive", CHAOS_SPEC): "61be6a44ef302290",
+    (5, "yx", None): "86d4ead14e3661da",
+    (6, "yx", CHAOS_SPEC): "2ccd41527af0962f",
+    (7, "o1turn", None): "7053a18dc5bce6e2",
+    (8, "o1turn", CHAOS_SPEC): "ef8f3b1d3b395c37",
+}
 
 
 def _build(kernel, seed, routing, fault_spec):
@@ -81,16 +102,12 @@ def _fingerprint(net):
     }
 
 
-@pytest.mark.parametrize(
-    "seed,routing,fault_spec",
-    [
-        (0, "xy", None),
-        (1, "adaptive", None),
-        (2, "xy", CHAOS_SPEC),
-        (3, "adaptive", CHAOS_SPEC),
-        (4, "adaptive", CHAOS_SPEC),
-    ],
-)
+def _digest(fingerprint):
+    blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed,routing,fault_spec", list(GOLDEN_KERNELS))
 def test_kernels_bit_identical(seed, routing, fault_spec):
     prints = {}
     for kernel in ("fast", "naive"):
@@ -98,6 +115,7 @@ def test_kernels_bit_identical(seed, routing, fault_spec):
         _drive(net, seed)
         prints[kernel] = _fingerprint(net)
     assert prints["fast"] == prints["naive"]
+    assert _digest(prints["fast"]) == GOLDEN_KERNELS[(seed, routing, fault_spec)]
 
 
 def test_active_sets_drain_at_quiescence():
@@ -146,3 +164,10 @@ def test_channel_pending_properties():
     assert channel.has_pending_credits and channel.busy
     assert channel.pop_credits(net.now + 1) == [0]
     assert not channel.busy
+
+
+if __name__ == "__main__":  # pragma: no cover - records the constants
+    for case in GOLDEN_KERNELS:
+        net = _build("fast", *case)
+        _drive(net, case[0])
+        print(case, _digest(_fingerprint(net)))

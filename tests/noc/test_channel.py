@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.arq import AckKind, AckMessage
+from repro.coding.arq import nack_token
 from repro.noc import Channel, ChannelErrorModel, MeshTopology, Packet, Transmission
 from repro.noc.topology import ChannelSpec, Port
 
@@ -91,13 +91,14 @@ class TestChannel:
 
     def test_ack_and_credit_sideband(self):
         ch = make_channel()
-        ch.send_ack(AckMessage(3, AckKind.ACK), deliver_at=2)
-        ch.send_ack(AckMessage(4, AckKind.NACK), deliver_at=3)
+        ch.send_ack(3, deliver_at=2)
+        ch.send_ack(nack_token(4), deliver_at=3)
         ch.send_credit(1, deliver_at=2)
         assert ch.pop_acks(1) == []
-        assert [m.seq for m in ch.pop_acks(2)] == [3]
+        assert ch.pop_acks(2) == [3]
         assert ch.pop_credits(2) == [1]
-        assert [m.seq for m in ch.pop_acks(3)] == [4]
+        (nack,) = ch.pop_acks(3)
+        assert nack < 0 and ~nack == 4
         assert not ch.busy
 
     def test_busy_reflects_any_traffic(self):

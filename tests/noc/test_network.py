@@ -59,6 +59,22 @@ class TestCleanDelivery:
         # 6 hops x ~5 cycles/hop plus 3 extra flits of serialization.
         assert 20 <= net.stats.mean_latency <= 60
 
+    @pytest.mark.parametrize("kernel", ["fast", "naive"])
+    def test_drain_returns_exact_cycles_to_last_delivery(self, kernel):
+        net = make_network(kernel=kernel)
+        net.inject(Packet(0, 1, 1, 128, 0, payloads=[7]))
+        # Delivered during cycle 8 (latency 8): cycles 0..8 are spent.
+        assert net.drain(max_cycles=100) == 9
+        assert net.stats.latency.maximum == 8
+        assert net.now == 9
+
+    def test_drain_enforces_max_cycles_exactly(self):
+        net = make_network()
+        net.inject(Packet(0, 15, 4, 128, 0))
+        with pytest.raises(RuntimeError, match="after 5 cycles"):
+            net.drain(max_cycles=5)
+        assert net.now == 5
+
     def test_neighbour_packet_is_fast(self):
         net = make_network()
         net.inject(Packet(0, 1, 1, 128, 0, payloads=[42]))
