@@ -85,23 +85,20 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.baselines import DecisionTreePolicy, arq_ecc_policy, crc_policy
-from repro.core.rl_policy import RLControlPolicy
 from repro.sim import (
     DEFAULT_ARTIFACT_DIR,
     DESIGN_ORDER,
     CampaignSpec,
-    Simulator,
     SweepRunner,
     SweepSpec,
     campaign_report,
+    default_design_factories,
     merge_trace_grid,
     normalize_to_baseline,
     render_report_markdown,
     run_campaign,
     scaled_config,
     stderr_progress,
-    synthesize_benchmark_trace,
 )
 from repro.faults import parse_fault_spec, parse_sensor_spec, parse_soft_error_spec
 from repro.noc.routing import ROUTING_FUNCTIONS
@@ -138,18 +135,13 @@ __all__ = ["main", "build_parser", "make_policy"]
 
 def make_policy(design: str, seed: int = 0):
     """Instantiate one of the four compared control policies."""
-    factories = {
-        "crc": crc_policy,
-        "arq_ecc": arq_ecc_policy,
-        "dt": DecisionTreePolicy,
-        "rl": lambda: RLControlPolicy(share_table=True, seed=seed),
-    }
     try:
-        return factories[design]()
+        factory = default_design_factories(seed)[design]
     except KeyError:
         raise ValueError(
             f"unknown design {design!r}; pick one of {', '.join(DESIGN_ORDER)}"
         ) from None
+    return factory()
 
 
 def _validate_spec(spec: str, parser_fn, flag: str) -> None:
@@ -562,55 +554,36 @@ def cmd_run(args) -> int:
     _validate_spec(args.fault_spec, parse_fault_spec, "--fault-spec")
     _validate_spec(args.sensor_spec, parse_sensor_spec, "--sensor-spec")
     _validate_spec(args.soft_error_spec, parse_soft_error_spec, "--soft-error-spec")
+    if args.design not in DESIGN_ORDER:
+        raise SystemExit(
+            f"unknown design {args.design!r}; pick one of {', '.join(DESIGN_ORDER)}"
+        )
     config = _config_from_args(args)
     tracer = _make_tracer(args)
+    run = ResumableRun(
+        config, args.design, args.benchmark,
+        seed=args.seed, trace_cycles=args.trace_cycles,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+    )
+    sim = run.sim
+    if tracer is not None:
+        sim.attach_tracer(tracer)
+    snapshots = (
+        "" if args.checkpoint is None
+        else f", snapshotting to {args.checkpoint} every {args.checkpoint_every} cycles"
+    )
+    print(f"running {args.design} on {args.benchmark}{snapshots} ...", file=sys.stderr)
     profiler = None
     if args.profile:
         import cProfile
 
         profiler = cProfile.Profile()
-    if args.checkpoint is not None:
-        if args.design not in DESIGN_ORDER:
-            raise SystemExit(
-                f"unknown design {args.design!r}; pick one of {', '.join(DESIGN_ORDER)}"
-            )
-        run = ResumableRun(
-            config, args.design, args.benchmark,
-            seed=args.seed, trace_cycles=args.trace_cycles,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-        )
-        sim = run.sim
-        if tracer is not None:
-            sim.attach_tracer(tracer)
-        print(
-            f"running {args.design} on {args.benchmark}, snapshotting to "
-            f"{args.checkpoint} every {args.checkpoint_every} cycles ...",
-            file=sys.stderr,
-        )
-        if profiler is not None:
-            profiler.enable()
-        result = run.run()
-        if profiler is not None:
-            profiler.disable()
-            _print_profile(profiler, run.sim.network)
-    else:
-        policy = make_policy(args.design, args.seed)
-        sim = Simulator(config, policy, seed=args.seed, tracer=tracer)
-        if profiler is not None:
-            profiler.enable()
-        if policy.trainable:
-            print(f"pre-training {args.design} ...", file=sys.stderr)
-            sim.pretrain()
-        policy.freeze()
-        sim.warmup()
-        trace = synthesize_benchmark_trace(
-            args.benchmark, config, args.trace_cycles, args.seed
-        )
-        result = sim.measure_trace(trace, args.benchmark)
-        if profiler is not None:
-            profiler.disable()
-            _print_profile(profiler, sim.network)
+        profiler.enable()
+    result = run.run()
+    if profiler is not None:
+        profiler.disable()
+        _print_profile(profiler, sim.network)
     _export_observability(args, tracer, sim.metrics)
     _print_result(result, args.json)
     return 0

@@ -29,10 +29,12 @@ a production harness.  This module makes the full ``run`` pipeline
   affected router is pinned to safe mode (mode 3, timing relaxation)
   and the degradation is logged.
 
-The run plan mirrors ``Simulator.pretrain`` / ``warmup`` /
-``measure_trace`` exactly — same segment spans, same RNG seeds, same
-epoch-boundary cadence — so ``ResumableRun`` with no checkpointing is
-byte-equivalent to the classic ``repro run`` pipeline.
+The run plan is shared, not copied: ``ResumableRun`` walks
+:meth:`Simulator.phase_plan <repro.sim.simulator.Simulator.phase_plan>`,
+the same segment list ``Simulator.pretrain`` / ``warmup`` execute, and
+every segment advances through ``Simulator.advance`` — so a run with no
+checkpointing is byte-equivalent to ``pretrain -> freeze -> warmup ->
+measure_trace``.
 """
 
 from __future__ import annotations
@@ -42,15 +44,12 @@ import json
 import logging
 import os
 import pickle
-import random
 import struct
 import uuid
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from repro.core.modes import OperationMode
 from repro.noc.network import resolve_kernel
 from repro.noc.packet import Packet
 from repro.sim.config import SimulationConfig
@@ -60,7 +59,6 @@ from repro.sim.experiment import (
 )
 from repro.sim.metrics import RunResult
 from repro.sim.simulator import Simulator
-from repro.traffic.synthetic import SyntheticTraffic
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -256,63 +254,6 @@ def read_policy_artifact_meta(path: Union[str, Path]) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # The resumable run plan
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Segment:
-    """One deterministic slice of the run plan.
-
-    ``new_source`` is ``(pattern, injection_rate, rng_seed)`` when the
-    segment starts a fresh synthetic source (shared by the following
-    segments until replaced); ``None`` keeps the current source.
-    """
-
-    phase: str  # pretrain | drain | freeze | warmup | measure
-    cycles: int = 0
-    forced_mode: Optional[int] = None
-    new_source: Optional[Tuple[str, float, int]] = None
-
-
-def _plan_segments(
-    config: SimulationConfig, trainable: bool
-) -> List[_Segment]:
-    """The full run plan; mirrors Simulator.pretrain/warmup exactly."""
-    segments: List[_Segment] = []
-    cycles = config.pretrain_cycles
-    if cycles > 0 and trainable:
-        base = config.pretrain_injection_rate
-        rates = [0.6 * base, base, 2.2 * base]
-        span = cycles // len(rates)
-        curriculum_share = 0.6
-        forced_span = int(span * curriculum_share) // len(OperationMode)
-        free_span = span - forced_span * len(OperationMode)
-        for i, rate in enumerate(rates):
-            source = (config.pretrain_pattern, min(rate, 1.0), 101 + i)
-            for mode in OperationMode:
-                segments.append(
-                    _Segment(
-                        "pretrain", forced_span, forced_mode=int(mode),
-                        new_source=source,
-                    )
-                )
-                source = None
-            segments.append(_Segment("pretrain", free_span))
-        segments.append(_Segment("drain"))
-    segments.append(_Segment("freeze"))
-    if config.warmup_cycles > 0:
-        segments.append(
-            _Segment(
-                "warmup",
-                config.warmup_cycles,
-                new_source=(
-                    config.pretrain_pattern,
-                    config.pretrain_injection_rate,
-                    202,
-                ),
-            )
-        )
-    segments.append(_Segment("measure"))
-    return segments
-
-
 class ResumableRun:
     """One checkpointable (design, benchmark) measurement run.
 
@@ -348,12 +289,10 @@ class ResumableRun:
 
         policy = default_design_factories(seed)[design]()
         self.sim = Simulator(config, policy, seed=seed)
-        self.segments = _plan_segments(config, policy.trainable)
+        self.segments = self.sim.phase_plan()
         self.segment_index = 0
         self.segment_offset = 0
         self.source = None
-        self.measure_origin: Optional[int] = None
-        self.measure_start: Optional[int] = None
         self.result: Optional[RunResult] = None
         self.checkpoints_written = 0
 
@@ -413,8 +352,6 @@ class ResumableRun:
             "source": self.source,
             "segment_index": self.segment_index,
             "segment_offset": self.segment_offset,
-            "measure_origin": self.measure_origin,
-            "measure_start": self.measure_start,
             "result": self.result,
             "policy_state": self.sim.policy.to_state(),
             # Packet ids come from a process-global counter.  Without it
@@ -468,11 +405,9 @@ class ResumableRun:
         # bit-identical.
         run.sim.network.kernel = resolve_kernel(None)
         run.source = payload["source"]
-        run.segments = _plan_segments(run.config, run.sim.policy.trainable)
+        run.segments = run.sim.phase_plan()
         run.segment_index = payload["segment_index"]
         run.segment_offset = payload["segment_offset"]
-        run.measure_origin = payload["measure_origin"]
-        run.measure_start = payload["measure_start"]
         run.result = payload["result"]
         run.checkpoints_written = 0
         # Restore the packet-id counter so ids issued after the resume
@@ -505,33 +440,24 @@ class ResumableRun:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _checkpoint_cb(self, base_offset: int):
-        if self.checkpoint_path is None or not self.checkpoint_every:
-            return None, 0
-
-        def callback(done: int) -> None:
-            self.segment_offset = base_offset + done
-            self.save()
-
-        return callback, self.checkpoint_every
-
-    def _build_source(self, spec: Tuple[str, float, int]) -> SyntheticTraffic:
-        pattern, rate, seed_offset = spec
-        return SyntheticTraffic(
-            self.sim.network.topology,
-            pattern=pattern,
-            injection_rate=rate,
-            packet_size=self.config.packet_size,
-            flit_bits=self.config.flit_bits,
-            rng=random.Random(self.seed + seed_offset),
-        )
+    def _on_checkpoint(self, offset: int) -> None:
+        self.segment_offset = offset
+        self.save()
 
     def run(self) -> RunResult:
         """Execute (or continue) the plan to completion."""
+        every = self.checkpoint_every if self.checkpoint_path is not None else 0
         while self.result is None and self.segment_index < len(self.segments):
             segment = self.segments[self.segment_index]
-            handler = getattr(self, f"_run_{segment.phase}")
-            handler(segment)
+            if segment.phase == "measure":
+                self._run_measure(every)
+            else:
+                offset = self.segment_offset
+                self.source = self.sim.segment_source(segment, self.source, offset)
+                self.sim.run_segment(
+                    segment, self.source, offset,
+                    checkpoint_every=every, on_checkpoint=self._on_checkpoint,
+                )
             self.segment_index += 1
             self.segment_offset = 0
             if self.checkpoint_path is not None:
@@ -540,52 +466,7 @@ class ResumableRun:
             raise RuntimeError("run plan finished without a measurement")
         return self.result
 
-    def _run_pretrain(self, segment: _Segment) -> None:
-        sim = self.sim
-        if segment.new_source is not None and self.segment_offset == 0:
-            self.source = self._build_source(segment.new_source)
-        sim.forced_mode = (
-            OperationMode(segment.forced_mode)
-            if segment.forced_mode is not None
-            else None
-        )
-        remaining = segment.cycles - self.segment_offset
-        callback, every = self._checkpoint_cb(self.segment_offset)
-        if remaining > 0:
-            sim.run(
-                self.source, remaining, learn=True,
-                checkpoint_every=every, on_checkpoint=callback,
-            )
-        sim.forced_mode = None
-
-    def _run_drain(self, segment: _Segment) -> None:
-        sim = self.sim
-        callback, every = self._checkpoint_cb(self.segment_offset)
-        done = 0
-        while not sim.network.quiescent:
-            sim._cycle()
-            if sim.network.now % self.config.epoch_cycles == 0:
-                sim._epoch_boundary(learn=True)
-            done += 1
-            if every and callback is not None and done % every == 0:
-                callback(done)
-
-    def _run_freeze(self, segment: _Segment) -> None:
-        self.sim.policy.freeze()
-
-    def _run_warmup(self, segment: _Segment) -> None:
-        sim = self.sim
-        if segment.new_source is not None and self.segment_offset == 0:
-            self.source = self._build_source(segment.new_source)
-        remaining = segment.cycles - self.segment_offset
-        callback, every = self._checkpoint_cb(self.segment_offset)
-        if remaining > 0:
-            sim.run(
-                self.source, remaining, learn=True,
-                checkpoint_every=every, on_checkpoint=callback,
-            )
-
-    def _run_measure(self, segment: _Segment) -> None:
+    def _run_measure(self, every: int) -> None:
         sim = self.sim
         if self.segment_offset == 0:
             records = synthesize_benchmark_trace(
@@ -593,18 +474,11 @@ class ResumableRun:
             )
             self.source = sim.make_replayer(records)
             sim.begin_measurement()
-            self.measure_origin = sim.network.now
-            self.measure_start = sim.network.now
-        replayer = self.source
-        callback, every = self._checkpoint_cb(self.segment_offset)
-        sim.run_until_drained(
-            replayer,
-            lambda: replayer.exhausted,
-            learn=True,
-            time_origin=self.measure_origin,
+        execution = sim.advance(
+            self.source,
+            time_origin=sim.network.now - self.segment_offset,
             checkpoint_every=every,
-            on_checkpoint=callback,
+            on_checkpoint=self._on_checkpoint,
         )
-        execution = sim.network.now - self.measure_start
         self.result = sim.finish_measurement(self.benchmark, execution)
         self.source = None

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import logging
 import random
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.controller import ControlPolicy, ObservationGuard, compute_reward
 from repro.core.modes import OperationMode, TmrModeBank
@@ -48,7 +49,7 @@ from repro.sim.metrics import RunResult, StatsSnapshot
 from repro.traffic.synthetic import SyntheticTraffic
 from repro.traffic.trace import TraceRecord, TraceReplayer
 
-__all__ = ["TrafficSource", "Simulator"]
+__all__ = ["TrafficSource", "PhaseSegment", "Simulator"]
 
 logger = logging.getLogger("repro.sim.simulator")
 
@@ -59,9 +60,28 @@ MAX_SAFE_MODE_TRIPS = 16
 
 
 class TrafficSource(Protocol):
-    """Anything that can offer packets cycle by cycle."""
+    """Anything that can offer packets cycle by cycle.
+
+    A source that :meth:`Simulator.advance` drains also exposes a boolean
+    ``exhausted`` (as :class:`~repro.traffic.trace.TraceReplayer` does).
+    """
 
     def packets_for_cycle(self, now: int) -> List[Packet]: ...
+
+
+@dataclass(frozen=True)
+class PhaseSegment:
+    """One deterministic slice of :meth:`Simulator.phase_plan`.
+
+    ``new_source`` is ``(pattern, injection_rate, seed_offset)`` when the
+    segment starts a fresh synthetic source (shared by the following
+    segments until replaced); ``None`` keeps the current source.
+    """
+
+    phase: str  # pretrain | drain | freeze | warmup | measure
+    cycles: int = 0
+    forced_mode: Optional[OperationMode] = None
+    new_source: Optional[Tuple[str, float, int]] = None
 
 
 class Simulator:
@@ -684,111 +704,94 @@ class Simulator:
         m.snapshot_epoch(self.network.now)
 
     # ------------------------------------------------------------------
-    # Phase drivers
+    # The simulation loop
     # ------------------------------------------------------------------
-    def run(
+    def advance(
         self,
-        source: Optional[TrafficSource],
-        cycles: int,
+        source: Optional[TrafficSource] = None,
+        cycles: Optional[int] = None,
         learn: bool = True,
         time_origin: Optional[int] = None,
         checkpoint_every: int = 0,
         on_checkpoint: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Advance a fixed number of cycles, injecting from ``source``.
+        strict: bool = True,
+    ) -> int:
+        """Advance the closed loop; the one loop that steps a simulation.
 
-        With ``checkpoint_every=N`` (and a callback), ``on_checkpoint``
-        fires after every N completed cycles with the count of cycles
-        done so far — the hook :mod:`repro.sim.checkpoint` uses to
-        serialize the run.  The callback must not mutate simulation
-        state, so a checkpointed run and a plain one are bit-identical.
+        Every cycle injects what ``source`` offers (stamped with the
+        absolute ``created_at`` and a run-local ``message_id``), steps the
+        network through :meth:`_cycle`, and runs the control epoch on the
+        ``config.epoch_cycles`` cadence.  Counts run from ``time_origin``
+        (default: the current cycle), so a call that resumes a phase part
+        way through passes the phase's origin and behaves exactly as the
+        uninterrupted call:
+
+        * the source sees time relative to the origin;
+        * with ``cycles`` it stops once that many cycles have passed since
+          the origin;
+        * without ``cycles`` it drains: it stops once the source is
+          exhausted (a missing source counts as exhausted) and the network
+          is quiescent.  A drain gets at most ``config.max_drain_cycles``
+          cycles from the origin; at the budget it raises ``RuntimeError``,
+          or with ``strict=False`` stops and leaves the rest outstanding;
+        * ``on_checkpoint(offset)`` fires whenever the cycles since the
+          origin reach a multiple of ``checkpoint_every``.  The callback
+          must not mutate simulation state, so a checkpointed run and a
+          plain one are bit-identical.
+
+        Returns the cycles since the origin.
         """
         network = self.network
-        epoch = self.config.epoch_cycles
+        config = self.config
+        epoch = config.epoch_cycles
         origin = network.now if time_origin is None else time_origin
-        for done in range(1, cycles + 1):
+        drain = cycles is None
+        end = origin + (config.max_drain_cycles if drain else cycles)
+        next_checkpoint = -1
+        if checkpoint_every and on_checkpoint is not None:
+            next_checkpoint = network.now + checkpoint_every - (
+                (network.now - origin) % checkpoint_every
+            )
+        while True:
+            now = network.now
+            if drain and network.quiescent and (source is None or source.exhausted):
+                break
+            if now >= end:
+                if drain and strict:
+                    raise RuntimeError(
+                        "trace failed to drain within max_drain_cycles "
+                        f"({config.max_drain_cycles})"
+                    )
+                break
             if source is not None:
-                for packet in source.packets_for_cycle(network.now - origin):
-                    # Sources see trace-relative time; latency accounting
+                for packet in source.packets_for_cycle(now - origin):
+                    # Sources see origin-relative time; latency accounting
                     # needs the absolute injection timestamp.
-                    packet.created_at = network.now
+                    packet.created_at = now
                     packet.message_id = self._next_message_id
                     self._next_message_id += 1
                     network.inject(packet)
             self._cycle()
-            if network.now % epoch == 0:
+            now = network.now
+            if now % epoch == 0:
                 self._epoch_boundary(learn)
-            if (
-                checkpoint_every
-                and on_checkpoint is not None
-                and done % checkpoint_every == 0
-            ):
-                on_checkpoint(done)
-
-    def run_cycles(
-        self,
-        source: Optional[TrafficSource],
-        cycles: int,
-        learn: bool = True,
-        time_origin: Optional[int] = None,
-    ) -> None:
-        """Advance a fixed number of cycles, injecting from ``source``."""
-        self.run(source, cycles, learn=learn, time_origin=time_origin)
-
-    def run_until_drained(
-        self,
-        source: TrafficSource,
-        source_exhausted,
-        learn: bool = True,
-        time_origin: Optional[int] = None,
-        checkpoint_every: int = 0,
-        on_checkpoint: Optional[Callable[[int], None]] = None,
-    ) -> int:
-        """Inject a finite source and run until every message delivers.
-
-        ``source_exhausted`` is a zero-argument callable (the replayer's
-        ``exhausted`` flag).  Returns the cycles the whole trace took —
-        the execution-time metric of Fig. 7.
-        """
-        network = self.network
-        epoch = self.config.epoch_cycles
-        origin = network.now if time_origin is None else time_origin
-        start = network.now
-        done = 0
-        while not (source_exhausted() and network.quiescent):
-            for packet in source.packets_for_cycle(network.now - origin):
-                packet.created_at = network.now
-                packet.message_id = self._next_message_id
-                self._next_message_id += 1
-                network.inject(packet)
-            self._cycle()
-            if network.now % epoch == 0:
-                self._epoch_boundary(learn)
-            if network.now - start > self.config.max_drain_cycles:
-                raise RuntimeError(
-                    "trace failed to drain within max_drain_cycles "
-                    f"({self.config.max_drain_cycles})"
-                )
-            done += 1
-            if (
-                checkpoint_every
-                and on_checkpoint is not None
-                and done % checkpoint_every == 0
-            ):
-                on_checkpoint(done)
-        return network.now - start
+            if now == next_checkpoint:
+                on_checkpoint(now - origin)
+                next_checkpoint += checkpoint_every
+        return network.now - origin
 
     # ------------------------------------------------------------------
     # Paper phases
     # ------------------------------------------------------------------
-    def pretrain(self, cycles: Optional[int] = None) -> None:
-        """Section V-B pre-training on synthetic traffic.
+    def phase_plan(self) -> List[PhaseSegment]:
+        """The Section V-B run plan: pre-train, drain, freeze, warm-up,
+        measure.
 
-        The synthetic phase sweeps three load levels (light, nominal,
-        heavy) so the learning policies visit the cool/quiet *and*
-        hot/error-prone regions of the Table I state space before any
-        application trace runs — the role the paper's 1M-cycle synthetic
-        phase plays at full scale.
+        The synthetic pre-training sweeps three load levels (light,
+        nominal, heavy) so the learning policies visit the cool/quiet
+        *and* hot/error-prone regions of the Table I state space before
+        any application trace runs — the role the paper's 1M-cycle
+        synthetic phase plays at full scale.
 
         Within each load level, the first part of the segment is a
         *curriculum*: the whole mesh is pinned to each operation mode in
@@ -796,55 +799,98 @@ class Simulator:
         under consistent network-wide behaviour.  Without this, epsilon-
         greedy exploration in a shortened run cannot separate an action's
         effect from the congestion caused by 63 other exploring routers.
-        The remainder of each segment runs free epsilon-greedy control.
+        The remainder of each segment runs free epsilon-greedy control,
+        and in-flight pre-training packets drain before the next phase.
+
+        :meth:`pretrain` and :meth:`warmup` execute their segments of this
+        plan; :class:`~repro.sim.checkpoint.ResumableRun` walks all of it
+        with a resumable cursor.
         """
-        cycles = self.config.pretrain_cycles if cycles is None else cycles
-        if cycles <= 0 or not self.policy.trainable:
-            return
-        base = self.config.pretrain_injection_rate
-        segments = [0.6 * base, base, 2.2 * base]
-        span = cycles // len(segments)
-        curriculum_share = 0.6
-        forced_span = int(span * curriculum_share) // len(OperationMode)
-        for i, rate in enumerate(segments):
-            source = SyntheticTraffic(
-                self.network.topology,
-                pattern=self.config.pretrain_pattern,
-                injection_rate=min(rate, 1.0),
-                packet_size=self.config.packet_size,
-                flit_bits=self.config.flit_bits,
-                rng=random.Random(self.seed + 101 + i),
-            )
+        config = self.config
+        plan: List[PhaseSegment] = []
+        if config.pretrain_cycles > 0 and self.policy.trainable:
+            base = config.pretrain_injection_rate
+            rates = [0.6 * base, base, 2.2 * base]
+            span = config.pretrain_cycles // len(rates)
+            curriculum_share = 0.6
+            forced_span = int(span * curriculum_share) // len(OperationMode)
             free_span = span - forced_span * len(OperationMode)
-            for mode in OperationMode:
-                self.forced_mode = mode
-                self.run_cycles(source, forced_span, learn=True)
-            self.forced_mode = None
-            self.run_cycles(source, free_span, learn=True)
-        # Let in-flight pretraining packets drain before the next phase.
-        self.drain_epochs()
+            for i, rate in enumerate(rates):
+                source = (config.pretrain_pattern, min(rate, 1.0), 101 + i)
+                for mode in OperationMode:
+                    plan.append(PhaseSegment("pretrain", forced_span, mode, source))
+                    source = None
+                plan.append(PhaseSegment("pretrain", free_span))
+            plan.append(PhaseSegment("drain"))
+        plan.append(PhaseSegment("freeze"))
+        if config.warmup_cycles > 0:
+            source = (config.pretrain_pattern, config.pretrain_injection_rate, 202)
+            plan.append(PhaseSegment("warmup", config.warmup_cycles, new_source=source))
+        plan.append(PhaseSegment("measure"))
+        return plan
 
-    def drain_epochs(self, learn: bool = True) -> None:
-        """Run (with epoch boundaries) until no message is outstanding."""
-        while not self.network.quiescent:
-            self._cycle()
-            if self.network.now % self.config.epoch_cycles == 0:
-                self._epoch_boundary(learn=learn)
-
-    def warmup(self, cycles: Optional[int] = None) -> None:
-        """Section V-B warm-up period (no measurement)."""
-        cycles = self.config.warmup_cycles if cycles is None else cycles
-        if cycles <= 0:
-            return
-        source = SyntheticTraffic(
+    def segment_source(
+        self,
+        segment: PhaseSegment,
+        source: Optional[TrafficSource] = None,
+        offset: int = 0,
+    ) -> Optional[TrafficSource]:
+        """The source ``segment`` runs on from ``offset`` cycles in: a
+        fresh synthetic one where the segment starts one, else ``source``,
+        the one the previous segment left active."""
+        if segment.new_source is None or offset:
+            return source
+        pattern, rate, seed_offset = segment.new_source
+        return SyntheticTraffic(
             self.network.topology,
-            pattern=self.config.pretrain_pattern,
-            injection_rate=self.config.pretrain_injection_rate,
+            pattern=pattern,
+            injection_rate=rate,
             packet_size=self.config.packet_size,
             flit_bits=self.config.flit_bits,
-            rng=random.Random(self.seed + 202),
+            rng=random.Random(self.seed + seed_offset),
         )
-        self.run_cycles(source, cycles, learn=True)
+
+    def run_segment(
+        self,
+        segment: PhaseSegment,
+        source: Optional[TrafficSource] = None,
+        offset: int = 0,
+        checkpoint_every: int = 0,
+        on_checkpoint: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        """Execute one plan segment on ``source`` from ``offset`` cycles in.
+
+        The measure segment needs a trace and belongs to the caller.
+        """
+        if segment.phase == "freeze":
+            self.policy.freeze()
+            return
+        drain = segment.phase == "drain"
+        self.forced_mode = segment.forced_mode
+        self.advance(
+            None if drain else source,
+            None if drain else segment.cycles,
+            time_origin=self.network.now - offset,
+            checkpoint_every=checkpoint_every,
+            on_checkpoint=on_checkpoint,
+        )
+        self.forced_mode = None
+
+    def _run_phases(self, *phases: str) -> None:
+        source = None
+        for segment in self.phase_plan():
+            if segment.phase in phases:
+                source = self.segment_source(segment, source)
+                self.run_segment(segment, source)
+
+    def pretrain(self) -> None:
+        """Section V-B pre-training on synthetic traffic, then a drain
+        (the plan's pretrain and drain segments; see :meth:`phase_plan`)."""
+        self._run_phases("pretrain", "drain")
+
+    def warmup(self) -> None:
+        """Section V-B warm-up period (no measurement)."""
+        self._run_phases("warmup")
 
     def make_replayer(self, records: List[TraceRecord]) -> TraceReplayer:
         """The measurement-phase trace replayer (seeded per Section V-B)."""
@@ -869,9 +915,7 @@ class Simulator:
         """The measured testing phase: replay a trace to completion."""
         replayer = self.make_replayer(records)
         self.begin_measurement()
-        execution = self.run_until_drained(
-            replayer, lambda: replayer.exhausted, learn=True
-        )
+        execution = self.advance(replayer)
         return self.finish_measurement(benchmark, execution)
 
     def finish_measurement(self, benchmark: str, execution: int) -> RunResult:

@@ -103,7 +103,7 @@ from repro.sim.experiment import (
 )
 from repro.sim.metrics import RunResult
 from repro.sim.simulator import Simulator
-from repro.traffic.synthetic import NullTraffic, SyntheticTraffic
+from repro.traffic.synthetic import SyntheticTraffic
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -421,8 +421,7 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
     config = dataclasses.replace(config, error_scale=point.error_scale)
     policy = default_design_factories(point.seed)[point.design]()
     sim = Simulator(config, policy, seed=point.seed)
-    if sim.policy.trainable:
-        sim.pretrain()
+    sim.pretrain()
     sim.policy.freeze()
     source = SyntheticTraffic(
         sim.network.topology,
@@ -432,9 +431,9 @@ def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]
         flit_bits=config.flit_bits,
         rng=random.Random(point.seed + 9),
     )
-    sim.run_cycles(source, point.cycles, learn=True)
+    sim.advance(source, point.cycles)
     try:
-        sim.run_until_drained(NullTraffic(), lambda: True, learn=True)
+        sim.advance()
     except RuntimeError:
         return {
             "load": {"rate": point.rate, "latency": None,
@@ -576,6 +575,49 @@ def _eval_chaos(
     }
 
 
+def _closed_loop_window(config: SimulationConfig, point: SweepPoint, tracer=None):
+    """The measured window every closed-loop fault evaluator shares.
+
+    Builds the full Simulator for ``config``, pretrains, freezes and warms
+    up the point's design, then measures ``point.cycles`` of open-loop
+    synthetic traffic plus a drain bounded by ``max_drain_cycles`` (a
+    drain that runs out stops and leaves the rest ``outstanding``).
+    Invariant-watchdog trips in the window come back as a structured
+    ``diagnosis`` instead of failing the point.
+
+    Returns ``(sim, result, outstanding, diagnosis)``.
+    """
+    policy = default_design_factories(point.seed)[point.design]()
+    sim = Simulator(config, policy, seed=point.seed, tracer=tracer)
+    sim.pretrain()
+    sim.policy.freeze()
+    sim.warmup()
+    sim.begin_measurement()
+    start = sim.network.now
+    rate = point.rate if point.rate > 0.0 else 0.05
+    source = SyntheticTraffic(
+        sim.network.topology,
+        pattern=point.traffic or "uniform",
+        injection_rate=rate,
+        packet_size=config.packet_size,
+        flit_bits=config.flit_bits,
+        rng=random.Random(point.seed + 7),
+    )
+    diagnosis = None
+    try:
+        sim.advance(source, point.cycles)
+        sim.advance(strict=False)
+    except NoCInvariantError as exc:
+        diagnosis = {
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "report": exc.report,
+        }
+    result = sim.finish_measurement(point.traffic or "uniform", sim.network.now - start)
+    outstanding = sum(ni.outstanding_messages for ni in sim.network.interfaces)
+    return sim, result, outstanding, diagnosis
+
+
 def _eval_sensor_chaos(
     config: SimulationConfig, point: SweepPoint, tracer=None
 ) -> Dict[str, object]:
@@ -598,41 +640,8 @@ def _eval_sensor_chaos(
         fault_spec=point.fault_spec,
         sensor_spec=point.sensor_spec,
     )
-    policy = default_design_factories(point.seed)[point.design]()
-    sim = Simulator(config, policy, seed=point.seed, tracer=tracer)
-    if sim.policy.trainable and config.pretrain_cycles > 0:
-        sim.pretrain()
-    sim.policy.freeze()
-    if config.warmup_cycles > 0:
-        sim.warmup()
-    sim.begin_measurement()
-    start = sim.network.now
-    rate = point.rate if point.rate > 0.0 else 0.05
-    source = SyntheticTraffic(
-        sim.network.topology,
-        pattern=point.traffic or "uniform",
-        injection_rate=rate,
-        packet_size=config.packet_size,
-        flit_bits=config.flit_bits,
-        rng=random.Random(point.seed + 7),
-    )
-    diagnosis = None
-    try:
-        sim.run(source, point.cycles, learn=True)
-        deadline = sim.network.now + config.max_drain_cycles
-        while not sim.network.quiescent and sim.network.now < deadline:
-            sim._cycle()
-            if sim.network.now % config.epoch_cycles == 0:
-                sim._epoch_boundary(learn=True)
-    except NoCInvariantError as exc:
-        diagnosis = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "report": exc.report,
-        }
-    result = sim.finish_measurement(point.traffic or "uniform", sim.network.now - start)
+    sim, result, outstanding, diagnosis = _closed_loop_window(config, point, tracer)
     guard = sim.obs_guard
-    outstanding = sum(ni.outstanding_messages for ni in sim.network.interfaces)
     return {
         "sensor_chaos": {
             "design": point.design,
@@ -678,40 +687,7 @@ def _eval_soft_error(
         fault_spec=point.fault_spec,
         soft_error_spec=point.soft_error_spec,
     )
-    policy = default_design_factories(point.seed)[point.design]()
-    sim = Simulator(config, policy, seed=point.seed, tracer=tracer)
-    if sim.policy.trainable and config.pretrain_cycles > 0:
-        sim.pretrain()
-    sim.policy.freeze()
-    if config.warmup_cycles > 0:
-        sim.warmup()
-    sim.begin_measurement()
-    start = sim.network.now
-    rate = point.rate if point.rate > 0.0 else 0.05
-    source = SyntheticTraffic(
-        sim.network.topology,
-        pattern=point.traffic or "uniform",
-        injection_rate=rate,
-        packet_size=config.packet_size,
-        flit_bits=config.flit_bits,
-        rng=random.Random(point.seed + 7),
-    )
-    diagnosis = None
-    try:
-        sim.run(source, point.cycles, learn=True)
-        deadline = sim.network.now + config.max_drain_cycles
-        while not sim.network.quiescent and sim.network.now < deadline:
-            sim._cycle()
-            if sim.network.now % config.epoch_cycles == 0:
-                sim._epoch_boundary(learn=True)
-    except NoCInvariantError as exc:
-        diagnosis = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "report": exc.report,
-        }
-    result = sim.finish_measurement(point.traffic or "uniform", sim.network.now - start)
-    outstanding = sum(ni.outstanding_messages for ni in sim.network.interfaces)
+    sim, result, outstanding, diagnosis = _closed_loop_window(config, point, tracer)
     return {
         "soft_error": {
             "design": point.design,

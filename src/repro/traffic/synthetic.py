@@ -95,18 +95,6 @@ def destination_for(
     return None if dest == src else dest
 
 
-class NullTraffic:
-    """A traffic source that never injects.
-
-    Drain phases need a source that satisfies the ``TrafficSource``
-    protocol but stops offering packets so the network can empty
-    (e.g. the tail of a load-sweep point after the injection span).
-    """
-
-    def packets_for_cycle(self, now: int) -> List[Packet]:
-        return []
-
-
 class SyntheticTraffic:
     """Open-loop Bernoulli traffic source over a mesh.
 

@@ -6,6 +6,7 @@ interrupted — and the ResumableRun plan itself is byte-equivalent to the
 classic ``pretrain -> freeze -> warmup -> measure_trace`` pipeline.
 """
 
+import dataclasses
 import shutil
 
 import pytest
@@ -38,10 +39,30 @@ def classic_run(config, design, benchmark, trace_cycles, seed=0):
     return sim.measure_trace(trace, benchmark)
 
 
-@pytest.mark.parametrize("design", ["rl", "crc", "dt"])
-def test_plan_matches_classic_pipeline(design):
-    """ResumableRun with no checkpointing is the classic pipeline."""
-    config = small_config()
+#: one campaign per fault layer the shared plan has to carry unchanged
+CAMPAIGNS = {
+    "none": {},
+    "fault_spec": {"fault_spec": "link@600:1E;router@1900:4"},
+    "sensor_spec": {"sensor_spec": "drop@0.2:util;stuck@r5.temp=0.9;noise@0.05:nack"},
+    "soft_error_spec": {"soft_error_spec": "qtable@2e-5;mode@r3+1000;burst@1600:4"},
+}
+
+
+@pytest.mark.parametrize(
+    "design, campaign",
+    [
+        pytest.param(
+            design, campaign,
+            id=design if campaign == "none" else f"{design}-{campaign}",
+        )
+        for campaign in CAMPAIGNS
+        for design in ("rl", "crc", "dt")
+    ],
+)
+def test_plan_matches_classic_pipeline(design, campaign):
+    """ResumableRun with no checkpointing is the classic pipeline: it
+    walks the plan pretrain()/warmup() execute, under every fault layer."""
+    config = dataclasses.replace(small_config(), **CAMPAIGNS[campaign])
     classic = classic_run(config, design, "swaptions", 300)
     planned = ResumableRun(config, design, "swaptions", trace_cycles=300).run()
     assert planned == classic

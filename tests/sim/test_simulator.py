@@ -117,7 +117,7 @@ class TestPhases:
     def test_forced_mode_pins_routers(self):
         sim = Simulator(tiny_config(), RLControlPolicy(share_table=True), seed=2)
         sim.forced_mode = OperationMode.MODE_2
-        sim.run_cycles(None, sim.config.epoch_cycles + 1, learn=False)
+        sim.advance(None, sim.config.epoch_cycles + 1, learn=False)
         assert all(r.mode is OperationMode.MODE_2 for r in sim.network.routers)
 
     def test_drain_guard_raises(self):
@@ -125,6 +125,31 @@ class TestPhases:
         sim = Simulator(config, crc_policy(), seed=2)
         with pytest.raises(RuntimeError, match="max_drain_cycles"):
             sim.measure_trace(tiny_trace(200), "tiny")
+
+    def test_drain_stops_at_exact_budget_when_not_strict(self):
+        sim = Simulator(tiny_config(max_drain_cycles=5), crc_policy(), seed=2)
+        replayer = sim.make_replayer(tiny_trace(200))
+        assert sim.advance(replayer, strict=False) == 5
+        assert sim.network.now == 5 and not sim.network.quiescent
+
+    def test_advance_counts_from_time_origin(self):
+        """A resumed call (origin in the past) runs only what is left and
+        keeps the uninterrupted call's checkpoint cadence."""
+        sim = Simulator(tiny_config(), crc_policy(), seed=2)
+        sim.advance(None, 3)
+        offsets = []
+        done = sim.advance(
+            None, 10, time_origin=0, checkpoint_every=4, on_checkpoint=offsets.append
+        )
+        assert done == 10 and sim.network.now == 10
+        assert offsets == [4, 8]
+
+    def test_pretrain_drain_honours_budget(self):
+        """The drain closing pre-training is bounded like every other."""
+        config = tiny_config(width=4, height=4, max_drain_cycles=1)
+        sim = Simulator(config, RLControlPolicy(share_table=True, seed=2), seed=2)
+        with pytest.raises(RuntimeError, match="max_drain_cycles"):
+            sim.pretrain()
 
 
 class TestDeterminism:
