@@ -41,9 +41,11 @@ Eight subcommands:
 ``campaign``
     The paper-figure grid (benchmarks x designs) behind Figs 6-10.
     Each trainable design is pre-trained exactly once and persisted as
-    a versioned, CRC-guarded artifact under ``--artifact-dir``; every
-    grid cell clones a fresh policy from that artifact, so results are
-    bit-identical across benchmark orderings and ``--jobs`` settings.
+    a versioned, CRC-guarded artifact under ``--artifact-dir``, and each
+    design's platform is warmed up once and saved there as a warm-start
+    snapshot; every grid cell restores its own copy of that snapshot, so
+    results are bit-identical across benchmark orderings and ``--jobs``
+    settings.
     Emits the normalized per-benchmark + geomean tables as Markdown
     (default), ``--json``, or to ``--report-json`` / ``--report-md``
     files — the exact tables EXPERIMENTS.md embeds.
@@ -135,13 +137,24 @@ __all__ = ["main", "build_parser", "make_policy"]
 
 def make_policy(design: str, seed: int = 0):
     """Instantiate one of the four compared control policies."""
-    try:
-        factory = default_design_factories(seed)[design]
-    except KeyError:
-        raise ValueError(
+    _check_design(design, ValueError)
+    return default_design_factories(seed)[design]()
+
+
+def _check_design(design: str, error: type = SystemExit) -> None:
+    """The one "unknown design" check: raise ``error`` (one line via
+    SystemExit for the subcommands) unless ``design`` is a compared
+    design."""
+    if design not in DESIGN_ORDER:
+        raise error(
             f"unknown design {design!r}; pick one of {', '.join(DESIGN_ORDER)}"
-        ) from None
-    return factory()
+        )
+
+
+def _check_checkpoint_every(every: Optional[int]) -> None:
+    """Reject a negative ``--checkpoint-every`` with one line."""
+    if every is not None and every < 0:
+        raise SystemExit("--checkpoint-every cannot be negative")
 
 
 def _validate_spec(spec: str, parser_fn, flag: str) -> None:
@@ -471,11 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--artifact-dir", default=DEFAULT_ARTIFACT_DIR,
-        help="pretrained-policy artifact store (default: %(default)s)",
+        help="store of pretrained-policy artifacts and warm-start "
+        "snapshots (default: %(default)s)",
     )
     camp.add_argument(
         "--refresh-artifacts", action="store_true",
-        help="re-pretrain even when a matching artifact exists",
+        help="re-pretrain and re-warm even when matching files exist",
     )
     camp.add_argument(
         "--report-json", default=None, metavar="FILE",
@@ -554,10 +568,8 @@ def cmd_run(args) -> int:
     _validate_spec(args.fault_spec, parse_fault_spec, "--fault-spec")
     _validate_spec(args.sensor_spec, parse_sensor_spec, "--sensor-spec")
     _validate_spec(args.soft_error_spec, parse_soft_error_spec, "--soft-error-spec")
-    if args.design not in DESIGN_ORDER:
-        raise SystemExit(
-            f"unknown design {args.design!r}; pick one of {', '.join(DESIGN_ORDER)}"
-        )
+    _check_design(args.design)
+    _check_checkpoint_every(args.checkpoint_every)
     config = _config_from_args(args)
     tracer = _make_tracer(args)
     run = ResumableRun(
@@ -590,6 +602,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
+    _check_checkpoint_every(args.checkpoint_every)
     try:
         meta = read_checkpoint_meta(args.snapshot)
         run = ResumableRun.resume(
@@ -749,6 +762,11 @@ def cmd_campaign(args) -> int:
         f"{int(counters['cells_cached'])} from cache",
         file=sys.stderr,
     )
+    print(
+        f"[campaign] {int(counters['warm_starts_built'])} warm start(s) built, "
+        f"{int(counters['warm_starts_reused'])} reused",
+        file=sys.stderr,
+    )
     if result.report.quarantined:
         print(
             f"[campaign] {len(result.report.quarantined)} cell(s) quarantined: "
@@ -872,10 +890,7 @@ def _cmd_sensor_chaos(args) -> int:
     if not designs:
         raise SystemExit("no control designs given")
     for design in designs:
-        if design not in DESIGN_ORDER:
-            raise SystemExit(
-                f"unknown design {design!r}; pick one of {', '.join(DESIGN_ORDER)}"
-            )
+        _check_design(design)
     # A sensor campaign defaults to a hard-fault-free platform so the
     # telemetry corruption is the only stressor under test.
     raw_specs = "" if args.fault_specs is None else args.fault_specs
@@ -960,10 +975,7 @@ def _cmd_soft_error_chaos(args) -> int:
     if not designs:
         raise SystemExit("no control designs given")
     for design in designs:
-        if design not in DESIGN_ORDER:
-            raise SystemExit(
-                f"unknown design {design!r}; pick one of {', '.join(DESIGN_ORDER)}"
-            )
+        _check_design(design)
     # An SEU campaign defaults to a hard-fault-free platform so the
     # memory upsets are the only stressor under test.
     raw_specs = "" if args.fault_specs is None else args.fault_specs

@@ -25,9 +25,14 @@ the unit tests without paying for per-hop bit-level re-encoding.
 
 Implementation note: the pipeline stages iterate over dictionaries of
 VCs keyed by pipeline state (``_routing`` / ``_waiting`` / ``_active``)
-rather than scanning every (port, VC) pair each cycle — iteration order
-is insertion order, keeping runs bit-reproducible while making idle
-routers nearly free.
+rather than scanning every (port, VC) pair each cycle, which makes idle
+routers nearly free.  Iteration order is insertion order, but only RC
+depends on it: RC advances the O1TURN selector once per routed head and
+calls the drop sink (and through it the tracer) in scan order.  SA and
+VA do not: every grant is picked by rank from a rotating arbiter's
+pointer (``grant_from``) and SA walks the output ports in a fixed
+rotation, so reordering ``_active`` or ``_waiting`` changes nothing
+(``test_sa_va_outcomes_ignore_stage_scan_order`` pins this).
 """
 
 from __future__ import annotations

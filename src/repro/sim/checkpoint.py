@@ -21,6 +21,11 @@ a production harness.  This module makes the full ``run`` pipeline
   never interrupted — the determinism contract the integration tests
   pin down.
 
+* **Warm-start snapshots** — a campaign warms each design's platform
+  once and every benchmark cell of that design restores the warmed-up
+  simulator (:func:`save_warm_start` / :func:`load_warm_start`), keyed by
+  :func:`warm_start_key`.
+
 * **Validated Q-state** — alongside the pickle, the policy's learned
   state is stored through ``ControlPolicy.to_state`` and re-loaded
   through ``load_state`` on resume, which routes every Q-table through
@@ -40,15 +45,17 @@ measure_trace``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import os
 import pickle
+import shutil
 import struct
 import uuid
 import zlib
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Optional, Tuple, Union
 
 from repro.noc.network import resolve_kernel
 from repro.noc.packet import Packet
@@ -71,6 +78,9 @@ __all__ = [
     "save_policy_artifact",
     "load_policy_artifact",
     "read_policy_artifact_meta",
+    "warm_start_key",
+    "save_warm_start",
+    "load_warm_start",
     "ResumableRun",
 ]
 
@@ -102,6 +112,8 @@ CHECKPOINT_MAGIC = b"RNOCCKPT"
 #: and the ACK/NACK sideband carries int tokens instead of ``AckMessage``
 #: objects, so version-5 bodies would restore into routers missing the
 #: row and channels holding the old message objects.
+#: Campaign warm-start snapshots are pickled simulators in this container
+#: and hash this version into their key, so every bump invalidates them.
 CHECKPOINT_VERSION = 6
 
 #: Pretrained-policy campaign artifacts share the container format but
@@ -112,6 +124,8 @@ CHECKPOINT_VERSION = 6
 ARTIFACT_VERSION = 1
 
 _HEADER_LEN = struct.Struct("<I")
+#: bytes per read/copy when streaming a container body
+_CHUNK = 1 << 16
 
 
 class CheckpointError(RuntimeError):
@@ -133,78 +147,119 @@ def save_checkpoint(
     leaves any previous checkpoint intact.  ``version`` defaults to the
     run-snapshot format; other container users (campaign artifacts)
     stamp their own version so readers reject foreign bodies cleanly.
+
+    The pickle streams to disk instead of being held in memory next to
+    the object graph it encodes.  The header needs the body's CRC and
+    length, so the body is written to a side file first and copied in
+    behind the header.
     """
     path = Path(path)
-    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    header = json.dumps(
-        {
-            "version": version,
-            "crc32": zlib.crc32(body) & 0xFFFFFFFF,
-            "body_bytes": len(body),
-            "meta": meta,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
+    stem = f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}"
+    body_tmp = path.with_name(f"{stem}.body")
+    tmp = path.with_name(f"{stem}.tmp")
     try:
-        with tmp.open("wb") as handle:
-            handle.write(CHECKPOINT_MAGIC)
-            handle.write(_HEADER_LEN.pack(len(header)))
-            handle.write(header)
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
+        with body_tmp.open("w+b") as body:
+            sink = _CrcSink(body)
+            pickle.dump(payload, sink, protocol=pickle.HIGHEST_PROTOCOL)
+            header = json.dumps(
+                {
+                    "version": version,
+                    "crc32": sink.crc32,
+                    "body_bytes": sink.size,
+                    "meta": meta,
+                },
+                sort_keys=True,
+            ).encode("utf-8")
+            body.seek(0)
+            with tmp.open("wb") as handle:
+                handle.write(CHECKPOINT_MAGIC)
+                handle.write(_HEADER_LEN.pack(len(header)))
+                handle.write(header)
+                shutil.copyfileobj(body, handle, _CHUNK)
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
+        for leftover in (body_tmp, tmp):
+            if leftover.exists():
+                leftover.unlink()
     return path
 
 
-def _read_container(
+class _CrcSink:
+    """Write-through file wrapper that counts and CRCs what passes."""
+
+    __slots__ = ("handle", "crc32", "size")
+
+    def __init__(self, handle: BinaryIO) -> None:
+        self.handle = handle
+        self.crc32 = 0
+        self.size = 0
+
+    def write(self, data) -> int:
+        self.crc32 = zlib.crc32(data, self.crc32)
+        self.size += memoryview(data).nbytes
+        return self.handle.write(data)
+
+
+def _open_container(
     path: Union[str, Path], version: int = CHECKPOINT_VERSION
-) -> Tuple[Dict[str, object], bytes]:
+) -> Tuple[Dict[str, object], BinaryIO]:
+    """Validate a container (magic, header, version, body length and
+    CRC, reading the body in chunks) and return its header and an open
+    handle positioned at the start of the body."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        handle = path.open("rb")
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    if len(blob) < len(CHECKPOINT_MAGIC) + _HEADER_LEN.size:
-        raise CheckpointError(f"{path} is truncated (not a checkpoint)")
-    if not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"{path} is not a repro checkpoint (bad magic)")
-    offset = len(CHECKPOINT_MAGIC)
-    (header_len,) = _HEADER_LEN.unpack_from(blob, offset)
-    offset += _HEADER_LEN.size
-    if offset + header_len > len(blob):
-        raise CheckpointError(f"{path} is truncated (header cut short)")
     try:
-        header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"{path} has a corrupt header: {exc}") from None
-    found = header.get("version")
-    if found != version:
-        raise CheckpointError(
-            f"{path} is checkpoint version {found!r}; this reader expects "
-            f"version {version}"
-        )
-    body = blob[offset + header_len:]
-    if len(body) != header.get("body_bytes"):
-        raise CheckpointError(
-            f"{path} is truncated: body is {len(body)} bytes, header "
-            f"promises {header.get('body_bytes')}"
-        )
-    if (zlib.crc32(body) & 0xFFFFFFFF) != header.get("crc32"):
-        raise CheckpointError(f"{path} failed its CRC check (corrupt body)")
-    return header, body
+        prefix = handle.read(len(CHECKPOINT_MAGIC) + _HEADER_LEN.size)
+        if len(prefix) < len(CHECKPOINT_MAGIC) + _HEADER_LEN.size:
+            raise CheckpointError(f"{path} is truncated (not a checkpoint)")
+        if not prefix.startswith(CHECKPOINT_MAGIC):
+            raise CheckpointError(f"{path} is not a repro checkpoint (bad magic)")
+        (header_len,) = _HEADER_LEN.unpack_from(prefix, len(CHECKPOINT_MAGIC))
+        raw_header = handle.read(header_len)
+        if len(raw_header) < header_len:
+            raise CheckpointError(f"{path} is truncated (header cut short)")
+        try:
+            header = json.loads(raw_header.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"{path} has a corrupt header: {exc}") from None
+        found = header.get("version")
+        if found != version:
+            raise CheckpointError(
+                f"{path} is checkpoint version {found!r}; this reader expects "
+                f"version {version}"
+            )
+        body_start = handle.tell()
+        crc = 0
+        size = 0
+        for chunk in iter(lambda: handle.read(_CHUNK), b""):
+            crc = zlib.crc32(chunk, crc)
+            size += len(chunk)
+        if size != header.get("body_bytes"):
+            raise CheckpointError(
+                f"{path} is truncated: body is {size} bytes, header "
+                f"promises {header.get('body_bytes')}"
+            )
+        if crc != header.get("crc32"):
+            raise CheckpointError(f"{path} failed its CRC check (corrupt body)")
+        handle.seek(body_start)
+    except BaseException:
+        handle.close()
+        raise
+    return header, handle
 
 
 def read_checkpoint_meta(
     path: Union[str, Path], version: int = CHECKPOINT_VERSION
 ) -> Dict[str, object]:
     """Validate the container and return the JSON metadata only."""
-    header, _ = _read_container(path, version=version)
+    header, handle = _open_container(path, version=version)
+    handle.close()
     return dict(header.get("meta", {}))
 
 
@@ -212,11 +267,12 @@ def load_checkpoint(
     path: Union[str, Path], version: int = CHECKPOINT_VERSION
 ) -> Tuple[object, Dict[str, object]]:
     """Validate and unpickle a checkpoint; returns (payload, meta)."""
-    header, body = _read_container(path, version=version)
-    try:
-        payload = pickle.loads(body)
-    except Exception as exc:  # pickle raises a zoo of types
-        raise CheckpointError(f"{path} body failed to unpickle: {exc}") from None
+    header, handle = _open_container(path, version=version)
+    with handle:
+        try:
+            payload = pickle.load(handle)
+        except Exception as exc:  # pickle raises a zoo of types
+            raise CheckpointError(f"{path} body failed to unpickle: {exc}") from None
     return payload, dict(header.get("meta", {}))
 
 
@@ -249,6 +305,64 @@ def load_policy_artifact(
 def read_policy_artifact_meta(path: Union[str, Path]) -> Dict[str, object]:
     """Validate an artifact container and return its metadata only."""
     return read_checkpoint_meta(path, version=ARTIFACT_VERSION)
+
+
+# ----------------------------------------------------------------------
+# Warm-start snapshots
+# ----------------------------------------------------------------------
+def warm_start_key(
+    config: SimulationConfig, design: str, seed: int, artifact_key: str
+) -> str:
+    """Content hash of a warm-start snapshot: a ``Simulator(config,
+    policy, seed)`` after :meth:`~repro.sim.simulator.Simulator.warmup`,
+    its policy cloned from the artifact ``artifact_key`` names ("" for a
+    stateless design).  The snapshot body is a pickled simulator, so
+    :data:`CHECKPOINT_VERSION` is hashed too: a bump invalidates every
+    snapshot along with the run checkpoints.
+    """
+    fingerprint = {
+        "checkpoint_version": CHECKPOINT_VERSION,
+        "config": dataclasses.asdict(config),
+        "design": design,
+        "seed": seed,
+        "artifact_key": artifact_key,
+    }
+    blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
+
+
+def save_warm_start(
+    path: Union[str, Path], sim: Simulator, meta: Dict[str, object]
+) -> Path:
+    """Persist a warmed-up simulator in the run-checkpoint container.
+
+    ``meta`` should carry the snapshot's :func:`warm_start_key` as
+    ``key``.  The packet-id counter rides along, as in a run checkpoint,
+    so packets injected after the restore never reuse the ids the
+    pickled in-flight packets carry.
+    """
+    return save_checkpoint(path, {"sim": sim, "next_pid": Packet._next_pid}, meta)
+
+
+def load_warm_start(path: Union[str, Path], key: str) -> Simulator:
+    """Restore a warm-start snapshot, ready for ``measure_trace``.
+
+    Raises :class:`CheckpointError` for a missing, torn or foreign
+    container and ``ValueError`` when its stored key is not ``key``.
+    """
+    payload, meta = load_checkpoint(path)
+    if meta.get("key") != key:
+        raise ValueError(
+            f"warm-start snapshot {path} carries key {meta.get('key')!r}; "
+            f"this cell expects {key!r}"
+        )
+    if not isinstance(payload, dict) or "sim" not in payload:
+        raise CheckpointError(f"{path} is not a warm-start snapshot")
+    sim = payload["sim"]
+    # The kernel is an execution detail; both kernels are bit-identical.
+    sim.network.kernel = resolve_kernel(None)
+    sim.restore_packet_counter(payload.get("next_pid"))
+    return sim
 
 
 # ----------------------------------------------------------------------
@@ -379,6 +493,8 @@ class ResumableRun:
         rejected Q-table pins its router to safe mode instead of
         aborting the resume.
         """
+        if checkpoint_every is not None and checkpoint_every < 0:
+            raise ValueError("checkpoint_every cannot be negative")
         payload, meta = load_checkpoint(path)
         if not isinstance(payload, dict) or "sim" not in payload:
             raise CheckpointError(f"{path} is not a run checkpoint")

@@ -25,9 +25,9 @@ completed point is worth persisting.  This module provides:
   moment each point lands, so a SIGKILL mid-sweep loses at most the
   points in flight.  :attr:`SweepRunner.report` summarizes the outcome
   (completed / retried / quarantined / elapsed) as a
-  :class:`SweepReport`.  A :class:`Prerequisite` (a campaign's artifact
-  pretrain) rides the same supervised pass: it launches first, and the
-  points that need it wait for it;
+  :class:`SweepReport`.  A :class:`Prerequisite` (a campaign's
+  per-design warm start) rides the same supervised pass: it launches
+  first, and the points that need it wait for it;
 * merge helpers that aggregate point results back into the
   benchmarks-x-designs shape :mod:`repro.sim.experiment` produces, so
   the normalized-to-baseline tables come out identical.
@@ -46,10 +46,12 @@ Point kinds
     frozen snapshot — exactly ``experiment.run_parsec_suite``'s
     per-design row, with online adaptation kept cell-local.
 ``campaign``
-    One (benchmark, design) cell of the paper-figure campaign: the
-    policy is cloned from a pretrained artifact on disk
-    (``repro.sim.campaign``) instead of pre-training in-cell, so the
-    grid pays each design's pre-training phase exactly once.
+    One (benchmark, design) cell of the paper-figure campaign: the cell
+    restores its design's warm-start snapshot from disk — a simulator
+    whose policy was cloned from the pretrained artifact and which has
+    already run the warm-up (``repro.sim.campaign``) — and only replays
+    its trace, so the grid pays each design's pre-training and warm-up
+    exactly once.
 ``mode_error``
     The raw mode trade-off surface: the whole mesh pinned to one
     operation mode under a flat channel error probability (used by
@@ -90,7 +92,7 @@ from repro.noc.packet import Packet
 from repro.noc.routing import ROUTING_FUNCTIONS
 from repro.noc.topology import MeshTopology
 from repro.noc.watchdog import NoCInvariantError
-from repro.sim.checkpoint import load_policy_artifact
+from repro.sim.checkpoint import load_warm_start, warm_start_key
 from repro.sim.config import SimulationConfig
 from repro.sim.experiment import (
     DESIGN_ORDER,
@@ -196,6 +198,10 @@ class SweepPoint:
     #: cache key — moving or renaming the artifact directory must not
     #: invalidate results whose content hash is unchanged
     artifact_path: str = ""
+    #: warmed-up simulator a ``campaign`` cell starts from; NOT in the
+    #: cache key either: its content is a function of fields that are
+    #: (config, design, seed, artifact_hash), and the cell checks it
+    warm_start_path: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in POINT_KINDS:
@@ -385,36 +391,35 @@ def _eval_suite(config: SimulationConfig, point: SweepPoint) -> Dict[str, object
 
 def _eval_campaign(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
     """One campaign cell: a single (benchmark, design) measurement run
-    cloned from a pretrained, frozen policy artifact.
+    from its design's warm-start snapshot (``repro.sim.campaign``).
 
-    The artifact container is validated (magic, version, body CRC) and
-    its content key checked against the point's ``artifact_hash`` before
-    the state is loaded — a missing, torn, or mismatched artifact is an
-    evaluator failure, which the supervisor retries and then
-    quarantines instead of measuring garbage.
+    The snapshot is a simulator already built around a policy cloned
+    from the design's pretrained, frozen artifact and run through the
+    warm-up, so the cell only loads it, synthesizes its trace and
+    measures.  The snapshot's container is validated (magic, version,
+    body CRC) and its stored key must equal the :func:`warm_start_key`
+    of this cell's config, design, seed and ``artifact_hash`` — a
+    missing, torn, or mismatched snapshot is an evaluator failure, which
+    the supervisor retries and then quarantines instead of measuring
+    garbage.
     """
     config = dataclasses.replace(config, error_scale=point.error_scale)
-    factory = default_design_factories(point.seed)[point.design]
-    policy = factory()
-    if point.artifact_path:
-        state, meta = load_policy_artifact(point.artifact_path)
-        if point.artifact_hash and meta.get("key") != point.artifact_hash:
-            raise ValueError(
-                f"artifact {point.artifact_path} carries key "
-                f"{meta.get('key')!r}; this cell expects {point.artifact_hash!r}"
-            )
-        policy = clone_policy(factory, state)
-    elif policy.trainable:
+    if not point.artifact_path and (
+        default_design_factories(point.seed)[point.design]().trainable
+    ):
         raise ValueError(
             f"campaign cell for trainable design {point.design!r} has no "
             "pretrained artifact; run it through repro.sim.campaign"
         )
+    key = warm_start_key(config, point.design, point.seed, point.artifact_hash)
+    if not point.warm_start_path:
+        raise ValueError(
+            f"campaign cell {point.label()} has no warm-start snapshot for "
+            f"key {key!r}; run it through repro.sim.campaign"
+        )
+    sim = load_warm_start(point.warm_start_path, key)
     records = synthesize_benchmark_trace(point.traffic, config, point.cycles, point.seed)
-    result = run_design_on_trace(
-        policy, records, config,
-        benchmark=point.traffic, seed=point.seed, pretrained=True,
-    )
-    return {"run": result.constructor_dict()}
+    return {"run": sim.measure_trace(records, point.traffic).constructor_dict()}
 
 
 def _eval_load(config: SimulationConfig, point: SweepPoint) -> Dict[str, object]:
@@ -774,9 +779,9 @@ def _supervised_worker(conn, fn: Callable[..., object], args: Tuple) -> None:
 class Prerequisite:
     """Work that some points need finished before they may launch.
 
-    A campaign's artifact pretrain is the use case: ``fn(*args)`` writes
-    the artifact file that the points at ``dependents`` (indices into
-    the spec's expansion) load.  It runs under the same supervision as a
+    A campaign's warm start is the use case: ``fn(*args)`` writes the
+    files (pretrained artifact, warm-start snapshot) that the points at
+    ``dependents`` (indices into the spec's expansion) load.  It runs under the same supervision as a
     point — in a worker, retried after an exception or a worker death,
     then quarantined — but it is exempt from ``point_timeout`` and never
     cached, because its product is a file, not a payload.  A quarantined
@@ -837,13 +842,15 @@ class _PendingTask:
 def point_cache_key(config: SimulationConfig, point: SweepPoint) -> str:
     """Stable content hash of everything a point's result depends on.
 
-    ``artifact_path`` is excluded: where an artifact lives is an
-    execution detail, while WHAT it contains is covered by
-    ``artifact_hash`` — so a relocated artifact directory replays from
-    cache and a retrained artifact (new hash) re-simulates.
+    ``artifact_path`` and ``warm_start_path`` are excluded: where an
+    artifact or a warm-start snapshot lives is an execution detail,
+    while WHAT it contains is covered by ``artifact_hash`` and the other
+    fields — so a relocated artifact directory replays from cache and a
+    retrained artifact (new hash) re-simulates.
     """
     point_dict = dataclasses.asdict(point)
     point_dict.pop("artifact_path", None)
+    point_dict.pop("warm_start_path", None)
     fingerprint = {
         "schema": CACHE_SCHEMA,
         "config": dataclasses.asdict(config),

@@ -23,6 +23,7 @@ import pytest
 from repro.faults.hardfaults import HardFaultModel, HardFaultSchedule
 from repro.noc.network import Network
 from repro.noc.packet import Packet
+from repro.noc.router import Router
 from repro.noc.topology import MeshTopology, Port
 
 CHAOS_SPEC = "link@400:1E;router@900:5;burst@600+300:0.05"
@@ -116,6 +117,47 @@ def test_kernels_bit_identical(seed, routing, fault_spec):
         prints[kernel] = _fingerprint(net)
     assert prints["fast"] == prints["naive"]
     assert _digest(prints["fast"]) == GOLDEN_KERNELS[(seed, routing, fault_spec)]
+
+
+def _reverse_in_place(stage: dict) -> bool:
+    """Reverse a router stage dict's scan order, keeping the object."""
+    if len(stage) < 2:
+        return False
+    order = list(stage)
+    stage.clear()
+    stage.update(dict.fromkeys(reversed(order)))
+    return True
+
+
+@pytest.mark.parametrize(
+    "seed,routing,fault_spec",
+    [(0, "xy", None), (3, "adaptive", CHAOS_SPEC), (8, "o1turn", CHAOS_SPEC)],
+)
+def test_sa_va_outcomes_ignore_stage_scan_order(monkeypatch, seed, routing, fault_spec):
+    """SA scans ``Router._active`` and VA scans ``Router._waiting`` in
+    insertion order, but every grant is picked by rank from a rotating
+    arbiter's pointer (``grant_from``) and SA walks the output ports in
+    a fixed rotation, so the scan order cannot change an outcome.
+    Reversing both dicts before every SA and VA stage must leave the
+    golden digest unchanged."""
+    reordered = {"sa": 0, "va": 0}
+    real_sa = Router._stage_switch_allocation
+    real_va = Router._stage_vc_allocation
+
+    def switch_allocation(self, now, used_output):
+        reordered["sa"] += _reverse_in_place(self._active)
+        return real_sa(self, now, used_output)
+
+    def vc_allocation(self, now):
+        reordered["va"] += _reverse_in_place(self._waiting)
+        return real_va(self, now)
+
+    monkeypatch.setattr(Router, "_stage_switch_allocation", switch_allocation)
+    monkeypatch.setattr(Router, "_stage_vc_allocation", vc_allocation)
+    net = _build("fast", seed, routing, fault_spec)
+    _drive(net, seed)
+    assert reordered["sa"] > 0 and reordered["va"] > 0  # not vacuous
+    assert _digest(_fingerprint(net)) == GOLDEN_KERNELS[(seed, routing, fault_spec)]
 
 
 def test_active_sets_drain_at_quiescence():

@@ -244,6 +244,7 @@ class TestCampaignCommand:
         assert main(self._argv(tmp_path, ["--json"])) == 0
         captured = capsys.readouterr()
         assert "1 artifact(s) built, 0 reused" in captured.err
+        assert "2 warm start(s) built, 0 reused" in captured.err
         report = json.loads(captured.out)
         assert report["schema"] == 1
         assert report["benchmarks"] == ["blackscholes", "swaptions"]
@@ -255,6 +256,7 @@ class TestCampaignCommand:
         captured = capsys.readouterr()
         assert "0 artifact(s) built, 1 reused" in captured.err
         assert "0 cell(s) simulated, 4 from cache" in captured.err
+        assert "0 warm start(s) built, 2 reused" in captured.err
         assert json.loads(captured.out) == report
 
     def test_markdown_output_and_report_files(self, capsys, tmp_path):
@@ -269,6 +271,56 @@ class TestCampaignCommand:
         assert "| **geomean** |" in out
         assert json.load(report_json.open())["schema"] == 1
         assert report_md.read_text() in out
+
+
+class TestUnknownDesign:
+    """Every subcommand that takes a design rejects an unknown one with
+    the same single line."""
+
+    LINE = "unknown design 'fpga'; pick one of crc, arq_ecc, dt, rl"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--design", "fpga"],
+            ["chaos", "--sensor-spec", "drop@0.3:util", "--designs", "crc,fpga"],
+            ["chaos", "--soft-error-spec", "qtable@5e-4", "--designs", "fpga"],
+            ["campaign", "--designs", "crc,fpga"],
+        ],
+        ids=["run", "sensor-chaos", "soft-error-chaos", "campaign"],
+    )
+    def test_same_line_everywhere(self, argv, tmp_path):
+        if argv[0] != "run":
+            argv = argv + ["--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert str(info.value) == self.LINE
+
+    def test_make_policy_raises_value_error_with_the_same_text(self):
+        with pytest.raises(ValueError) as info:
+            make_policy("fpga")
+        assert str(info.value) == self.LINE
+
+
+class TestCheckpointEvery:
+    """A negative cadence is a one-line CLI error, not a traceback."""
+
+    def test_run_rejects_negative(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--checkpoint", str(tmp_path / "r.ckpt"),
+                  "--checkpoint-every", "-1"])
+        assert str(info.value) == "--checkpoint-every cannot be negative"
+        assert not (tmp_path / "r.ckpt").exists()
+
+    def test_run_rejects_negative_without_checkpoint(self):
+        with pytest.raises(SystemExit, match="--checkpoint-every cannot be negative"):
+            main(["run", "--checkpoint-every", "-1"])
+
+    def test_resume_rejects_negative(self, tmp_path):
+        snapshot = tmp_path / "r.ckpt"
+        with pytest.raises(SystemExit) as info:
+            main(["resume", str(snapshot), "--checkpoint-every", "-1"])
+        assert str(info.value) == "--checkpoint-every cannot be negative"
 
 
 class TestSpecValidation:
